@@ -1,9 +1,10 @@
-//! A3 — scalability of the lock-per-chain demultiplexer versus a single
-//! global lock, the parallel-STREAMS context of [Dov90].
+//! A3 — scalability of the concurrent tiers: the lock-per-chain
+//! demultiplexer of the parallel-STREAMS context \[Dov90\] and the
+//! epoch-guarded concurrent cuckoo table.
 //!
-//! Every variant is driven generically through [`ConcurrentDemux`] and
-//! [`concurrent_suite`], so adding a locking strategy to the suite adds
-//! it to this benchmark (and the A3 ablation) with no bench changes.
+//! Every tier is driven generically through [`ConcurrentDemux`] and
+//! [`concurrent_suite`], so adding a tier to the suite adds it to this
+//! benchmark (and the A3 ablation) with no bench changes.
 //!
 //! Runs on the in-tree harness (no external deps); `--features bench-ext`
 //! lengthens sampling for lower variance.
@@ -18,8 +19,8 @@ use tcpdemux_pcb::{ConnectionKey, Pcb, PcbArena};
 const CONNECTIONS: usize = 2000;
 const CHAINS: usize = 64;
 /// Fixed total work, divided among the threads: with perfect scaling the
-/// measured time *drops* as threads are added; a serializing lock keeps
-/// it flat. Large enough that thread-spawn overhead (~50 µs/thread) is
+/// measured time *drops* as threads are added; serialization keeps it
+/// flat. Large enough that thread-spawn overhead (~50 µs/thread) is
 /// noise against the lookup work.
 const LOOKUPS_TOTAL: usize = 400_000;
 

@@ -1,32 +1,28 @@
-//! A3b — multicore scaling study: reader threads × locking strategy.
+//! A3b — multicore scaling study: reader threads × concurrent tier.
 //!
-//! Sweeps 1–8 reader threads over every [`ConcurrentDemux`] variant
-//! (global lock, lock-per-chain, reader–writer shards, and the lock-free
-//! `EpochDemux`) on the TPC/A key population, with a fixed total lookup
-//! budget divided among the threads. Three sections:
+//! Sweeps 1–8 reader threads over every [`ConcurrentDemux`] tier of
+//! [`concurrent_suite`] (the lock-per-chain `ShardedDemux` and the
+//! epoch-guarded `ConcurrentCuckooDemux`) on the TPC/A key population,
+//! with a fixed total lookup budget divided among the threads. Two
+//! sections:
 //!
 //! 1. **read-only** — the paper's steady-state regime: every connection
 //!    installed, threads only look up;
-//! 2. **read + churn** — one writer inserts/removes/replaces while the
-//!    readers run, the regime epoch reclamation exists for;
-//! 3. **reclamation telemetry** — the epoch runtime's counters for the
-//!    churn run, exported through `tcpdemux-telemetry`.
+//! 2. **read + churn** — one writer removes and reinserts while the
+//!    readers run.
 //!
+//! Thread counts above the machine's available parallelism measure
+//! oversubscription (lock handoff and scheduler overhead), not parallel
+//! speedup; the header line prints the parallelism of the run.
 //! `TCPDEMUX_SMOKE=1` shrinks the sweep to a single quick repetition so
 //! `scripts/verify.sh` can exercise the whole path offline on every run.
-//! Note the honest caveat printed with the results: on a single-core
-//! container the sweep measures *oversubscribed* threads (lock handoff
-//! and futex overhead), not true parallel speedup — the per-lookup cost
-//! of the lock-free path is the portable signal.
 
 use std::time::Instant;
 use tcpdemux_bench::harness::{bb, maybe_write_json_owned, record, Measurement};
-use tcpdemux_core::concurrent::{concurrent_suite, ConcurrentDemux, EpochDemux};
+use tcpdemux_core::concurrent::{concurrent_suite, ConcurrentDemux};
 use tcpdemux_core::PacketKind;
 use tcpdemux_hash::quality::tpca_key_population;
-use tcpdemux_hash::Multiplicative;
 use tcpdemux_pcb::{ConnectionKey, Pcb, PcbArena};
-use tcpdemux_telemetry::{CounterId, HistogramId, Recorder};
 
 const CHAINS: usize = 64;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -34,7 +30,6 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 struct Params {
     connections: usize,
     lookups_total: usize,
-    churn_ops: usize,
     reps: usize,
 }
 
@@ -43,14 +38,12 @@ fn params() -> Params {
         Params {
             connections: 200,
             lookups_total: 8_000,
-            churn_ops: 2_000,
             reps: 1,
         }
     } else {
         Params {
             connections: 2000,
             lookups_total: 400_000,
-            churn_ops: 50_000,
             reps: 5,
         }
     }
@@ -180,7 +173,7 @@ fn main() {
         p.connections, p.lookups_total, p.reps,
     );
     println!(
-        "available parallelism: {} (single-core runs measure oversubscription, not speedup)",
+        "available parallelism: {}",
         std::thread::available_parallelism().map_or(0, |n| n.get())
     );
 
@@ -204,20 +197,6 @@ fn main() {
     }
     print_table("read-only lookups, wall ns per lookup", &rows, &names);
 
-    // The acceptance signal: epoch vs the lock-per-chain shards.
-    let epoch_col = names.iter().position(|n| n.starts_with("epoch(")).unwrap();
-    let shard_col = names
-        .iter()
-        .position(|n| n.starts_with("sharded-sequent"))
-        .unwrap();
-    println!("\nsharded/epoch per-lookup ratio (>1.0 means the lock-free path is faster):");
-    for (label, cells) in &rows {
-        println!(
-            "  {label:>2} threads: {:>6.2}x",
-            cells[shard_col] / cells[epoch_col]
-        );
-    }
-
     let mut churn_rows = Vec::new();
     for &threads in &THREAD_COUNTS {
         let cells: Vec<f64> = suite
@@ -236,53 +215,6 @@ fn main() {
         &names,
     );
 
-    // Reclamation telemetry for a dedicated churn run on the epoch demux.
-    let recorder = Recorder::with_ring_capacity(0);
-    let epoch = EpochDemux::new(Multiplicative, CHAINS).with_recorder(recorder.clone());
-    populate(&epoch, &keys);
-    let churned = &keys[keys.len() - keys.len() / 8..];
-    let mut arena = PcbArena::with_capacity(p.churn_ops);
-    for i in 0..p.churn_ops {
-        let key = churned[i % churned.len()];
-        epoch.remove(&key);
-        epoch.insert(key, arena.insert(Pcb::new(key)));
-    }
-    epoch.flush_reclamation();
-    let stats = epoch.reclamation_stats();
-    let snap = recorder.snapshot();
-    println!(
-        "\n== epoch reclamation telemetry ({} churn ops) ==",
-        p.churn_ops
-    );
-    println!(
-        "  epoch_retired    {}",
-        snap.counter(CounterId::EpochRetired)
-    );
-    println!(
-        "  epoch_reclaimed  {}",
-        snap.counter(CounterId::EpochReclaimed)
-    );
-    println!(
-        "  epoch_advances   {}",
-        snap.counter(CounterId::EpochAdvances)
-    );
-    let h = snap.histogram(HistogramId::EpochDeferred);
-    println!(
-        "  deferred depth   p50={} p99={} max={} (samples={})",
-        h.quantile(0.50),
-        h.quantile(0.99),
-        h.max(),
-        h.count()
-    );
-    println!(
-        "  runtime          retired={} reclaimed={} deferred={} max_deferred={} advances={}",
-        stats.retired, stats.reclaimed, stats.deferred, stats.max_deferred, stats.advances
-    );
-    assert_eq!(
-        stats.deferred, 0,
-        "quiescent flush must reclaim the whole backlog"
-    );
-
     maybe_write_json_owned(
         "mt_scaling",
         0,
@@ -290,7 +222,6 @@ fn main() {
             ("chains", "64".to_string()),
             ("connections", p.connections.to_string()),
             ("lookups_total", p.lookups_total.to_string()),
-            ("churn_ops", p.churn_ops.to_string()),
             ("reps", p.reps.to_string()),
             ("threads", "1/2/4/8".to_string()),
         ],

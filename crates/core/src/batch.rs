@@ -280,8 +280,7 @@ pub(crate) fn group_by_bucket_counted(
 /// Replays the exact sequential semantics of the Sequent lookup: a cache
 /// probe costs 1 (hit ends the lookup), a scan's cost is the key's 1-based
 /// chain position (or the full chain length on a miss) plus the probe, and
-/// every successful scan refreshes the cache when `cache_enabled`. The
-/// chain itself is walked at most once per group; keys whose position was
+/// every successful scan refreshes the cache. The chain itself is walked at most once per group; keys whose position was
 /// already passed are answered from the `scanned` prefix.
 ///
 /// The walk reads only the chain's hot lane — one packed
@@ -292,11 +291,9 @@ pub(crate) fn group_by_bucket_counted(
 /// identical to the sequential walk.
 ///
 /// `group` yields indices into `keys`/`out` in batch order.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn chain_group_lookup(
     chain: &PcbList,
     cache: &mut Option<(ConnectionKey, PcbId)>,
-    cache_enabled: bool,
     scanned: &mut Vec<(u32, u32)>,
     group: impl Iterator<Item = usize>,
     keys: &[(ConnectionKey, PacketKind)],
@@ -345,9 +342,7 @@ pub(crate) fn chain_group_lookup(
         match found {
             Some((id, pos)) => {
                 let examined = probe + pos;
-                if cache_enabled {
-                    *cache = Some((key, id));
-                }
+                *cache = Some((key, id));
                 stats.record(examined, true, false);
                 out[idx] = LookupResult {
                     pcb: Some(id),
@@ -693,413 +688,5 @@ mod tests {
         // Empty batch: both paths produce an empty grouping.
         group_by_bucket_counted(&mut scratch, &[], 19, bucket);
         assert!(scratch.order.is_empty());
-    }
-}
-
-#[cfg(test)]
-mod walk_experiment {
-    //! Timing probes behind the phase-2 walk engine's design, kept as
-    //! runnable evidence for the analysis in EXPERIMENTS.md A1b and
-    //! DESIGN.md §9. Ignored by default; run with
-    //! `cargo test --release -p tcpdemux-core --lib -- walk_ --ignored --nocapture`
-    //! (wall-clock timing, so expect heavy noise on shared machines).
-
-    use super::*;
-
-    struct Lcg(u64);
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            self.0 >> 11
-        }
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
-    const NIL: u32 = u32::MAX;
-
-    struct Chain {
-        hot: Vec<u64>,
-        head: u32,
-        order: Vec<u32>, // order[pos] = slot at 0-based chain position
-    }
-
-    fn tag_of(chain: usize, slot: u32) -> u32 {
-        ((chain as u32) << 24) ^ slot.wrapping_mul(0x9E37_79B9) | 1
-    }
-
-    fn build(rng: &mut Lcg, chain_idx: usize, len: usize) -> Chain {
-        // Random slot permutation so `next` pointers jump around the lane
-        // like a churned arena.
-        let mut order: Vec<u32> = (0..len as u32).collect();
-        for i in (1..len).rev() {
-            let j = rng.below(i as u64 + 1) as usize;
-            order.swap(i, j);
-        }
-        let mut hot = vec![0u64; len];
-        for p in 0..len {
-            let slot = order[p];
-            let next = if p + 1 < len { order[p + 1] } else { NIL };
-            hot[slot as usize] = ((tag_of(chain_idx, slot) as u64) << 32) | next as u64;
-        }
-        Chain {
-            hot,
-            head: order[0],
-            order,
-        }
-    }
-
-    #[test]
-    #[ignore]
-    fn walk_timing() {
-        use std::time::Instant;
-        let mut rng = Lcg(0xBA7C_2026);
-        const CHAINS: usize = 19;
-        const LEN: usize = 105;
-        const BATCH: usize = 32;
-        const ROUNDS: usize = 4000;
-        let chains: Vec<Chain> = (0..CHAINS).map(|c| build(&mut rng, c, LEN)).collect();
-
-        // Pre-grouped rounds: per round, per chain, the target tags.
-        // groups[r] = Vec<(chain, Vec<tag>)>
-        let mut groups: Vec<Vec<(usize, Vec<u32>)>> = Vec::with_capacity(ROUNDS);
-        let mut total_keys = 0usize;
-        for _ in 0..ROUNDS {
-            let mut per_chain: Vec<Vec<u32>> = vec![Vec::new(); CHAINS];
-            for _ in 0..BATCH {
-                let c = rng.below(CHAINS as u64) as usize;
-                let pos = rng.below(LEN as u64) as usize;
-                let slot = chains[c].order[pos];
-                let tag = tag_of(c, slot);
-                if !per_chain[c].contains(&tag) {
-                    per_chain[c].push(tag);
-                    total_keys += 1;
-                }
-            }
-            groups.push(
-                per_chain
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, v)| !v.is_empty())
-                    .collect(),
-            );
-        }
-
-        // A: serial single-tag walk per key.
-        let t = Instant::now();
-        let mut sink = 0u64;
-        for g in &groups {
-            for (c, tags) in g {
-                let hot = &chains[*c].hot;
-                for &tag in tags {
-                    let mut cur = chains[*c].head;
-                    let mut steps = 0u32;
-                    while cur != NIL {
-                        let w = hot[cur as usize];
-                        steps += 1;
-                        if (w >> 32) as u32 == tag {
-                            break;
-                        }
-                        cur = w as u32;
-                    }
-                    sink = sink.wrapping_add(steps as u64);
-                }
-            }
-        }
-        let a = t.elapsed();
-        println!(
-            "A serial/key   : {:7.2} ns/key  (sink {sink})",
-            a.as_nanos() as f64 / total_keys as f64
-        );
-
-        // B: shared walk per chain, up-to-4-tag filter.
-        let t = Instant::now();
-        let mut sink_b = 0u64;
-        for g in &groups {
-            for (c, tags) in g {
-                let hot = &chains[*c].hot;
-                let mut f = [0u32; 4];
-                for (i, s) in f.iter_mut().enumerate() {
-                    *s = tags[i.min(tags.len() - 1)];
-                }
-                let mut left = tags.len();
-                let mut cur = chains[*c].head;
-                let mut steps = 0u32;
-                while cur != NIL && left > 0 {
-                    let w = hot[cur as usize];
-                    let s = (w >> 32) as u32;
-                    steps += 1;
-                    if (s == f[0]) | (s == f[1]) | (s == f[2]) | (s == f[3]) {
-                        left -= 1;
-                        sink_b = sink_b.wrapping_add(steps as u64);
-                    }
-                    cur = w as u32;
-                }
-            }
-        }
-        let b = t.elapsed();
-        println!(
-            "B shared/chain : {:7.2} ns/key  (sink {sink_b})",
-            b.as_nanos() as f64 / total_keys as f64
-        );
-
-        // C2: 2-way lock-step, all-scalar lane state.
-        let t = Instant::now();
-        let mut sink_c = 0u64;
-        for g in &groups {
-            let mut it = g.iter().map(|(c, tags)| {
-                let mut f = [0u32; 4];
-                for (i, s) in f.iter_mut().enumerate() {
-                    *s = tags[i.min(tags.len() - 1)];
-                }
-                (*c, f, tags.len().min(4) as u32, chains[*c].head)
-            });
-            let Some((mut ca, mut fa, mut la, mut cua)) = it.next() else {
-                continue;
-            };
-            let mut sta = 0u32;
-            'outer: loop {
-                let Some((cb, fb, mut lb, mut cub)) = it.next() else {
-                    // drain lane a serially
-                    let hot = &chains[ca].hot;
-                    while cua != NIL && la > 0 {
-                        let w = hot[cua as usize];
-                        let s = (w >> 32) as u32;
-                        sta += 1;
-                        if (s == fa[0]) | (s == fa[1]) | (s == fa[2]) | (s == fa[3]) {
-                            la -= 1;
-                            sink_c = sink_c.wrapping_add(sta as u64);
-                        }
-                        cua = w as u32;
-                    }
-                    break 'outer;
-                };
-                let mut stb = 0u32;
-                let hot_a = &chains[ca].hot[..];
-                let hot_b = &chains[cb].hot[..];
-                loop {
-                    let wa = hot_a[cua as usize];
-                    let wb = hot_b[cub as usize];
-                    let sa = (wa >> 32) as u32;
-                    let sb = (wb >> 32) as u32;
-                    sta += 1;
-                    stb += 1;
-                    if (sa == fa[0]) | (sa == fa[1]) | (sa == fa[2]) | (sa == fa[3]) {
-                        la -= 1;
-                        sink_c = sink_c.wrapping_add(sta as u64);
-                    }
-                    if (sb == fb[0]) | (sb == fb[1]) | (sb == fb[2]) | (sb == fb[3]) {
-                        lb -= 1;
-                        sink_c = sink_c.wrapping_add(stb as u64);
-                    }
-                    cua = wa as u32;
-                    cub = wb as u32;
-                    let a_done = cua == NIL || la == 0;
-                    let b_done = cub == NIL || lb == 0;
-                    if a_done | b_done {
-                        if a_done && !b_done {
-                            ca = cb;
-                            fa = fb;
-                            la = lb;
-                            cua = cub;
-                            sta = stb;
-                        } else if a_done && b_done {
-                            match it.next() {
-                                Some((c2, f2, l2, cu2)) => {
-                                    ca = c2;
-                                    fa = f2;
-                                    la = l2;
-                                    cua = cu2;
-                                    sta = 0;
-                                }
-                                None => break 'outer,
-                            }
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        let c_el = t.elapsed();
-        println!(
-            "C2 pair scalar : {:7.2} ns/key  (sink {sink_c})",
-            c_el.as_nanos() as f64 / total_keys as f64
-        );
-
-        // E: 4-way lock-step, all-scalar lanes, run until ALL retire,
-        // refilling a retired lane immediately (retired lanes spin on a
-        // parked 1-entry dummy when the iterator is dry).
-        let t = Instant::now();
-        let mut sink_e = 0u64;
-        for g in &groups {
-            let mut it = g.iter().map(|(c, tags)| {
-                let mut f = [0u32; 4];
-                for (i, s) in f.iter_mut().enumerate() {
-                    *s = tags[i.min(tags.len() - 1)];
-                }
-                (*c, f, tags.len().min(4) as u32, chains[*c].head)
-            });
-            // lane state
-            let mut lanes: [(usize, [u32; 4], u32, u32, u32); 4] = [(0, [0; 4], 0, NIL, 0); 4];
-            let mut n_active = 0usize;
-            for lane in lanes.iter_mut() {
-                match it.next() {
-                    Some((c, f, l, cu)) => {
-                        *lane = (c, f, l, cu, 0);
-                        n_active += 1;
-                    }
-                    None => break,
-                }
-            }
-            while n_active > 0 {
-                // one lock-step round: issue the active loads back-to-back
-                let w0 = if lanes[0].3 != NIL {
-                    chains[lanes[0].0].hot[lanes[0].3 as usize]
-                } else {
-                    NIL as u64
-                };
-                let w1 = if lanes[1].3 != NIL {
-                    chains[lanes[1].0].hot[lanes[1].3 as usize]
-                } else {
-                    NIL as u64
-                };
-                let w2 = if lanes[2].3 != NIL {
-                    chains[lanes[2].0].hot[lanes[2].3 as usize]
-                } else {
-                    NIL as u64
-                };
-                let w3 = if lanes[3].3 != NIL {
-                    chains[lanes[3].0].hot[lanes[3].3 as usize]
-                } else {
-                    NIL as u64
-                };
-                for (lane, w) in lanes.iter_mut().zip([w0, w1, w2, w3]) {
-                    if lane.3 == NIL {
-                        continue;
-                    }
-                    let s = (w >> 32) as u32;
-                    lane.4 += 1;
-                    let f = &lane.1;
-                    if (s == f[0]) | (s == f[1]) | (s == f[2]) | (s == f[3]) {
-                        lane.2 -= 1;
-                        sink_e = sink_e.wrapping_add(lane.4 as u64);
-                    }
-                    lane.3 = if lane.2 == 0 { NIL } else { w as u32 };
-                    if lane.3 == NIL {
-                        match it.next() {
-                            Some((c, f, l, cu)) => *lane = (c, f, l, cu, 0),
-                            None => n_active -= 1,
-                        }
-                    }
-                }
-            }
-        }
-        let e_el = t.elapsed();
-        println!(
-            "E quad rr      : {:7.2} ns/key  (sink {sink_e})",
-            e_el.as_nanos() as f64 / total_keys as f64
-        );
-        let _ = sink;
-    }
-
-    #[test]
-    #[ignore]
-    fn engine_timing() {
-        use crate::list::PcbList;
-        use crate::test_util::key;
-        use crate::LookupResult;
-        use std::time::Instant;
-        const CHAINS: usize = 19;
-        const CONNS: u32 = 2000;
-        const BATCH: usize = 32;
-        const STREAM: usize = 40000;
-        let bucket = |k: &tcpdemux_pcb::ConnectionKey| (k.as_words()[2] as usize) % CHAINS;
-        let mut rng = Lcg(0x5EED);
-        let mut chains: Vec<PcbList> = (0..CHAINS).map(|_| PcbList::new()).collect();
-        let keys: Vec<_> = (0..CONNS).map(key).collect();
-        for (i, k) in keys.iter().enumerate() {
-            chains[bucket(k)].push_back(*k, tcpdemux_pcb::PcbId::from_bits(i as u64));
-        }
-        let stream: Vec<(tcpdemux_pcb::ConnectionKey, crate::PacketKind)> = (0..STREAM)
-            .map(|_| {
-                (
-                    keys[rng.below(CONNS as u64) as usize],
-                    crate::PacketKind::Data,
-                )
-            })
-            .collect();
-
-        // H: sequential-equivalent loop (cache + find + stats).
-        let mut caches: Vec<Option<(tcpdemux_pcb::ConnectionKey, tcpdemux_pcb::PcbId)>> =
-            vec![None; CHAINS];
-        let mut stats = crate::stats::LookupStats::new();
-        let t = Instant::now();
-        for (k, _) in &stream {
-            let b = bucket(k);
-            if let Some((ck, _)) = caches[b] {
-                if ck == *k {
-                    stats.record(1, true, true);
-                    continue;
-                }
-            }
-            let probe = u32::from(caches[b].is_some());
-            let (found, scanned) = chains[b].find(k);
-            match found {
-                Some(id) => {
-                    caches[b] = Some((*k, id));
-                    stats.record(probe + scanned, true, false);
-                }
-                None => stats.record(probe + scanned, false, false),
-            }
-        }
-        let h = t.elapsed();
-        println!(
-            "H sequential   : {:7.2} ns/key  (mean_examined {:.1})",
-            h.as_nanos() as f64 / STREAM as f64,
-            stats.mean_examined()
-        );
-
-        // G: grouping alone.
-        let mut scratch = BatchScratch::default();
-        let t = Instant::now();
-        for chunk in stream.chunks(BATCH) {
-            group_by_bucket_counted(&mut scratch, chunk, CHAINS, |k| bucket(k));
-        }
-        let g = t.elapsed();
-        println!(
-            "G grouping     : {:7.2} ns/key",
-            g.as_nanos() as f64 / STREAM as f64
-        );
-
-        // F: full engine.
-        let mut caches: Vec<Option<(tcpdemux_pcb::ConnectionKey, tcpdemux_pcb::PcbId)>> =
-            vec![None; CHAINS];
-        let mut stats = crate::stats::LookupStats::new();
-        let mut out: Vec<LookupResult> = Vec::new();
-        let t = Instant::now();
-        for chunk in stream.chunks(BATCH) {
-            out.clear();
-            out.resize(chunk.len(), LookupResult::miss(0));
-            group_by_bucket_counted(&mut scratch, chunk, CHAINS, |k| bucket(k));
-            interleaved_batch_lookup(
-                &chains,
-                &mut caches,
-                true,
-                &mut scratch,
-                chunk,
-                &mut out,
-                &mut stats,
-            );
-        }
-        let f = t.elapsed();
-        println!(
-            "F full engine  : {:7.2} ns/key  (mean_examined {:.1})",
-            f.as_nanos() as f64 / STREAM as f64,
-            stats.mean_examined()
-        );
     }
 }

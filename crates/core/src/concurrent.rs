@@ -1,24 +1,23 @@
-//! Concurrent demultiplexing: locked chains through lock-free reads.
+//! Concurrent demultiplexing: the paper's locked chains and one
+//! lock-free-read tier.
 //!
 //! The Sequent algorithm was built for a *parallel* TCP implementation
 //! (\[Dov90\]: "A high capacity TCP/IP in parallel STREAMS"): hash chains do
 //! double duty as the unit of concurrency, because two packets that hash to
 //! different chains can be demultiplexed by different processors without
 //! contention. [`ShardedDemux`] reproduces that design with one mutex per
-//! chain; [`GlobalLockDemux`] wraps any single-threaded [`Demux`] in one
-//! big lock as the baseline the parallel design is measured against; and
-//! [`EpochDemux`] completes the lineage — the same chains with **no** read
-//! lock at all, readers protected by the [`crate::epoch`] reclamation
-//! runtime (the RCU shape McKenney later built at Sequent).
+//! chain. [`crate::ConcurrentCuckooDemux`] is the other tier: seqlocked
+//! cuckoo buckets read under a [`crate::epoch`] pin, the fastest read
+//! path at every measured thread count (EXPERIMENTS.md A3b).
 //!
-//! All variants tally statistics through [`AtomicLookupStats`] *outside*
-//! their data locks, so the accounting itself is never a contention point
-//! the scaling benchmarks would mismeasure.
+//! Both tally statistics through [`AtomicLookupStats`] *outside* their
+//! data locks, so the accounting itself is never a contention point the
+//! scaling benchmarks would mismeasure.
 
 use crate::batch;
 use crate::stats::{AtomicLookupStats, LookupStats};
-use crate::{Demux, LookupResult, PacketKind, SequentDemux};
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use crate::{LookupResult, PacketKind};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use tcpdemux_hash::{KeyHasher, Multiplicative};
 use tcpdemux_pcb::{ConnectionKey, PcbId};
 
@@ -34,17 +33,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-pub use crate::epoch_demux::EpochDemux;
-
-/// A thread-safe demultiplexer: the concurrent analogue of [`Demux`].
+/// A thread-safe demultiplexer: the concurrent analogue of [`crate::Demux`].
 ///
 /// Methods take `&self`; implementations do their own locking.
 pub trait ConcurrentDemux: Sync + Send {
@@ -206,7 +195,6 @@ impl<H: KeyHasher + Sync + Send> ConcurrentDemux for ShardedDemux<H> {
             batch::chain_group_lookup(
                 &shard.list,
                 &mut shard.cache,
-                true,
                 &mut scanned,
                 order[i..j].iter().map(|&(_, idx)| idx as usize),
                 keys,
@@ -231,210 +219,16 @@ impl<H: KeyHasher + Sync + Send> ConcurrentDemux for ShardedDemux<H> {
     }
 }
 
-/// Hash chains behind per-chain *reader–writer* locks, with **no**
-/// per-chain cache.
-///
-/// An instructive trade-off the paper's design implies but does not
-/// spell out: the one-entry cache makes every successful lookup a
-/// *write* (the cache must be updated), so a cached chain needs an
-/// exclusive lock even for pure lookups. Dropping the cache lets
-/// lookups take shared locks and proceed in parallel *within* a chain,
-/// at the cost of the cache's hit-rate savings — profitable exactly when
-/// traffic is train-free (the OLTP regime) and reader concurrency is
-/// high. Statistics live in an [`AtomicLookupStats`] recorded after the
-/// shared lock is released, so the read path never upgrades its lock.
-pub struct RwShardedDemux<H> {
-    hasher: H,
-    shards: Vec<RwLock<crate::list::PcbList>>,
-    stats: AtomicLookupStats,
-}
-
-impl<H: KeyHasher> RwShardedDemux<H> {
-    /// Create with `chains` shards (must be nonzero).
-    pub fn new(hasher: H, chains: usize) -> Self {
-        assert!(chains > 0, "chain count must be nonzero");
-        assert!(
-            chains <= u32::MAX as usize,
-            "chain count must fit in u32 (batch grouping packs bucket indices)"
-        );
-        Self {
-            hasher,
-            shards: (0..chains)
-                .map(|_| RwLock::new(crate::list::PcbList::new()))
-                .collect(),
-            stats: AtomicLookupStats::new(),
-        }
-    }
-
-    /// Number of shards (hash chains).
-    pub fn chain_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, key: &ConnectionKey) -> &RwLock<crate::list::PcbList> {
-        &self.shards[self.hasher.bucket(key, self.shards.len())]
-    }
-}
-
-impl<H: KeyHasher + Sync + Send> ConcurrentDemux for RwShardedDemux<H> {
-    fn insert(&self, key: ConnectionKey, id: PcbId) {
-        let mut list = write(self.shard(&key));
-        if list.replace(&key, id).is_none() {
-            list.push_front(key, id);
-        }
-    }
-
-    fn remove(&self, key: &ConnectionKey) -> Option<PcbId> {
-        write(self.shard(key)).remove(key)
-    }
-
-    fn lookup(&self, key: &ConnectionKey, _kind: PacketKind) -> LookupResult {
-        let (found, examined) = read(self.shard(key)).find(key);
-        // The temporary read guard is already gone here.
-        self.stats.record(examined, found.is_some(), false);
-        LookupResult {
-            pcb: found,
-            examined,
-            cache_hit: false,
-        }
-    }
-
-    fn lookup_batch(&self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        out.clear();
-        out.resize(keys.len(), LookupResult::miss(0));
-        let mut order = Vec::new();
-        let mut scanned = Vec::new();
-        let mut tallies = LookupStats::new();
-        batch::group_by_bucket(&mut order, keys, |k| {
-            self.hasher.bucket(k, self.shards.len())
-        });
-        let mut i = 0;
-        while i < order.len() {
-            let b = order[i].0 as usize;
-            let mut j = i;
-            while j < order.len() && order[j].0 as usize == b {
-                j += 1;
-            }
-            // No cache by design, so `chain_group_lookup` degenerates to a
-            // pure positional walk under one shared lock per shard group.
-            let mut no_cache = None;
-            batch::chain_group_lookup(
-                &read(&self.shards[b]),
-                &mut no_cache,
-                false,
-                &mut scanned,
-                order[i..j].iter().map(|&(_, idx)| idx as usize),
-                keys,
-                out,
-                &mut tallies,
-            );
-            i = j;
-        }
-        self.stats.merge_tallies(&tallies);
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| read(s).len()).sum()
-    }
-
-    fn name(&self) -> String {
-        format!("rw-sharded({})", self.shards.len())
-    }
-
-    fn stats_snapshot(&self) -> LookupStats {
-        self.stats.snapshot()
-    }
-}
-
-/// Any single-threaded [`Demux`] behind one global lock — the
-/// pre-parallel-STREAMS baseline.
-///
-/// Statistics are tallied into an [`AtomicLookupStats`] from the returned
-/// [`LookupResult`]s after the big lock drops (the inner structure still
-/// keeps its own private totals, which this wrapper ignores), so reading
-/// [`GlobalLockDemux::stats_snapshot`] never contends with the data path.
-pub struct GlobalLockDemux<D> {
-    inner: Mutex<D>,
-    stats: AtomicLookupStats,
-}
-
-impl<D: Demux> GlobalLockDemux<D> {
-    /// Wrap a demultiplexer in a global lock.
-    pub fn new(inner: D) -> Self {
-        Self {
-            inner: Mutex::new(inner),
-            stats: AtomicLookupStats::new(),
-        }
-    }
-}
-
-impl<D: Demux + Send> ConcurrentDemux for GlobalLockDemux<D> {
-    fn insert(&self, key: ConnectionKey, id: PcbId) {
-        lock(&self.inner).insert(key, id);
-    }
-
-    fn remove(&self, key: &ConnectionKey) -> Option<PcbId> {
-        lock(&self.inner).remove(key)
-    }
-
-    fn lookup(&self, key: &ConnectionKey, kind: PacketKind) -> LookupResult {
-        let result = lock(&self.inner).lookup(key, kind);
-        self.stats
-            .record(result.examined, result.pcb.is_some(), result.cache_hit);
-        result
-    }
-
-    fn lookup_batch(&self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        // One lock acquisition for the whole batch, delegating to the
-        // inner structure's own (possibly specialized) batch path; the
-        // tallies replay from the results after the lock drops.
-        lock(&self.inner).lookup_batch(keys, out);
-        let mut tallies = LookupStats::new();
-        for r in out.iter() {
-            tallies.record(r.examined, r.pcb.is_some(), r.cache_hit);
-        }
-        self.stats.merge_tallies(&tallies);
-    }
-
-    fn len(&self) -> usize {
-        lock(&self.inner).len()
-    }
-
-    fn name(&self) -> String {
-        format!("global-lock({})", lock(&self.inner).name())
-    }
-
-    fn stats_snapshot(&self) -> LookupStats {
-        self.stats.snapshot()
-    }
-}
-
-/// One instance of every thread-safe variant, for experiments that drive
+/// One instance of every thread-safe tier, for experiments that drive
 /// them generically (the A3/A3b benches and their ablations): the
-/// lock-per-chain design, the cache-free reader–writer variant, the
-/// global-lock baseline, and the lock-free-read [`EpochDemux`], all at the
-/// same chain count with [`Multiplicative`] hashing — plus the
-/// epoch-guarded [`crate::ConcurrentCuckooDemux`], which ignores `chains`
-/// (its bucket count is occupancy-driven), and
-/// [`crate::ConcurrentFrontDemux`]-wrapped variants of the sharded and
-/// cuckoo tiers (the miss-rejecting fingerprint front filter).
+/// lock-per-chain [`ShardedDemux`] at `chains` chains with
+/// [`Multiplicative`] hashing, and the epoch-guarded
+/// [`crate::ConcurrentCuckooDemux`], which ignores `chains` (its bucket
+/// count is occupancy-driven).
 pub fn concurrent_suite(chains: usize) -> Vec<Box<dyn ConcurrentDemux>> {
     vec![
         Box::new(ShardedDemux::new(Multiplicative, chains)),
-        Box::new(RwShardedDemux::new(Multiplicative, chains)),
-        Box::new(GlobalLockDemux::new(SequentDemux::new(
-            Multiplicative,
-            chains,
-        ))),
-        Box::new(EpochDemux::new(Multiplicative, chains)),
         Box::new(crate::ConcurrentCuckooDemux::new()),
-        Box::new(crate::ConcurrentFrontDemux::new(ShardedDemux::new(
-            Multiplicative,
-            chains,
-        ))),
-        Box::new(crate::ConcurrentFrontDemux::new(
-            crate::ConcurrentCuckooDemux::new(),
-        )),
     ]
 }
 
@@ -442,7 +236,6 @@ pub fn concurrent_suite(chains: usize) -> Vec<Box<dyn ConcurrentDemux>> {
 mod tests {
     use super::*;
     use crate::test_util::key;
-    use crate::SequentDemux;
     use tcpdemux_hash::Multiplicative;
     use tcpdemux_pcb::{Pcb, PcbArena};
 
@@ -477,19 +270,6 @@ mod tests {
         assert!(demux.stats_snapshot().lookups >= 101);
         assert_eq!(demux.name(), "sharded-sequent(19)");
         assert_eq!(demux.chain_count(), 19);
-    }
-
-    #[test]
-    fn global_lock_matches_inner() {
-        let mut arena = PcbArena::new();
-        let demux = GlobalLockDemux::new(SequentDemux::new(Multiplicative, 19));
-        let ids = populate_concurrent(&demux, &mut arena, 50);
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(demux.lookup(&key(i as u32), PacketKind::Data).pcb, Some(id));
-        }
-        assert!(demux.name().starts_with("global-lock(sequent"));
-        assert_eq!(demux.stats_snapshot().found, 50);
-        assert!(!demux.is_empty());
     }
 
     #[test]
@@ -625,68 +405,11 @@ mod tests {
     }
 
     #[test]
-    fn rw_sharded_basic_contract() {
-        let mut arena = PcbArena::new();
-        let demux = RwShardedDemux::new(Multiplicative, 19);
-        let ids = populate_concurrent(&demux, &mut arena, 100);
-        assert_eq!(demux.len(), 100);
-        assert_eq!(demux.chain_count(), 19);
-        for (i, &id) in ids.iter().enumerate() {
-            let r = demux.lookup(&key(i as u32), PacketKind::Data);
-            assert_eq!(r.pcb, Some(id));
-            assert!(!r.cache_hit, "no cache by design");
-        }
-        assert_eq!(demux.remove(&key(3)), Some(ids[3]));
-        assert_eq!(demux.lookup(&key(3), PacketKind::Ack).pcb, None);
-        let stats = demux.stats_snapshot();
-        assert_eq!(stats.lookups, 101);
-        assert_eq!(stats.found, 100);
-        assert_eq!(stats.not_found, 1);
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(demux.name(), "rw-sharded(19)");
-    }
-
-    #[test]
-    fn rw_sharded_parallel_readers_on_one_chain() {
-        // Readers on the SAME chain proceed concurrently; this test only
-        // checks correctness under that contention pattern (the benches
-        // measure the speedup).
-        let mut arena = PcbArena::new();
-        let demux = RwShardedDemux::new(Multiplicative, 1);
-        let ids = populate_concurrent(&demux, &mut arena, 64);
-        std::thread::scope(|s| {
-            for t in 0..8u32 {
-                let demux = &demux;
-                let ids = &ids;
-                s.spawn(move || {
-                    for i in 0..500u32 {
-                        let k = (t * 17 + i) % 64;
-                        assert_eq!(
-                            demux.lookup(&key(k), PacketKind::Data).pcb,
-                            Some(ids[k as usize])
-                        );
-                    }
-                });
-            }
-        });
-        let stats = demux.stats_snapshot();
-        assert_eq!(stats.lookups, 8 * 500);
-        assert_eq!(stats.not_found, 0);
-    }
-
-    #[test]
     fn suite_drives_all_variants_generically() {
         let mut arena = PcbArena::new();
         let suite = concurrent_suite(19);
-        assert_eq!(suite.len(), 7);
         let names: Vec<String> = suite.iter().map(|d| d.name()).collect();
-        assert!(names.iter().any(|n| n.starts_with("sharded-sequent")));
-        assert!(names.iter().any(|n| n.starts_with("rw-sharded")));
-        assert!(names.iter().any(|n| n.starts_with("global-lock")));
-        assert!(names.iter().any(|n| n.starts_with("epoch(")));
-        assert!(names.iter().any(|n| n == "cuckoo-conc"));
-        assert!(names.iter().any(|n| n.starts_with("front+sharded-sequent")));
-        assert!(names.iter().any(|n| n == "front+cuckoo-conc"));
+        assert_eq!(names, ["sharded-sequent(19)", "cuckoo-conc"]);
         for demux in &suite {
             let ids = populate_concurrent(demux.as_ref(), &mut arena, 50);
             for (i, &id) in ids.iter().enumerate() {
@@ -726,31 +449,5 @@ mod tests {
                 bat.name()
             );
         }
-    }
-
-    #[test]
-    fn rw_sharded_concurrent_writers_and_readers() {
-        let demux = RwShardedDemux::new(Multiplicative, 19);
-        std::thread::scope(|s| {
-            let writer = &demux;
-            s.spawn(move || {
-                let mut arena = PcbArena::new();
-                for i in 0..500u32 {
-                    let k = key(50_000 + i);
-                    let id = arena.insert(Pcb::new(k));
-                    writer.insert(k, id);
-                    if i % 2 == 0 {
-                        writer.remove(&k);
-                    }
-                }
-            });
-            let reader = &demux;
-            s.spawn(move || {
-                for i in 0..2000u32 {
-                    let _ = reader.lookup(&key(50_000 + (i % 500)), PacketKind::Data);
-                }
-            });
-        });
-        assert_eq!(demux.len(), 250);
     }
 }

@@ -1,5 +1,6 @@
-//! In-tree epoch-based reclamation: the runtime beneath the lock-free
-//! read path of [`crate::concurrent::EpochDemux`].
+//! In-tree epoch-based reclamation: the runtime that lets
+//! [`crate::ConcurrentCuckooDemux`] retire a superseded table generation
+//! while lock-free readers may still be probing it.
 //!
 //! McKenney's Sequent work on read-mostly data structures (the lineage
 //! that became RCU) separates *removal* from *reclamation*: a writer may
@@ -46,16 +47,15 @@
 //!    still pinned at `p`, so the advance (and thus the hand-back) waits
 //!    for the reader's guard to drop.
 //! 2. **Unlink < announce.** The reader pinned *after* the unlink. Its
-//!    subsequent `SeqCst` loads of the structure's head pointers read
-//!    values no older than the unlinking store, so the snapshot it walks
-//!    no longer reaches the node at all (copy-on-write publication in
-//!    `EpochDemux` guarantees interior pointers never lead back to it).
+//!    subsequent `SeqCst` load of the structure's entry point (the
+//!    cuckoo table's current-generation index) reads a value no older
+//!    than the unlinking store, so it never reaches the retired object.
 //!
 //! Either way, no token is handed back while a reader that could hold it
 //! is pinned. The runtime never blocks: `try_advance` simply fails while
 //! readers straddle epochs, and garbage waits on the deferred list (its
 //! depth is capped in practice by draining a bounded batch on every
-//! writer operation; telemetry exposes the high-water mark).
+//! writer operation).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -100,8 +100,6 @@ struct Inner {
     garbage: Mutex<VecDeque<Retired>>,
     retired: AtomicU64,
     reclaimed: AtomicU64,
-    advances: AtomicU64,
-    max_deferred: AtomicU64,
 }
 
 static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(0);
@@ -144,8 +142,8 @@ thread_local! {
 /// An epoch-based reclamation domain.
 ///
 /// Cloning is cheap and shares the domain (an `Arc` internally): the
-/// owning structure keeps one handle, and tests or telemetry may keep
-/// another to observe [`ReclamationStats`].
+/// owning structure keeps one handle, and tests may keep another to
+/// observe [`ReclamationStats`].
 #[derive(Debug, Clone)]
 pub struct EpochRuntime {
     inner: Arc<Inner>,
@@ -191,7 +189,7 @@ impl Drop for Guard<'_> {
 /// A point-in-time view of one runtime's reclamation accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReclamationStats {
-    /// Current global epoch.
+    /// Current global epoch (the number of successful advances).
     pub epoch: u64,
     /// Total tokens ever retired.
     pub retired: u64,
@@ -200,10 +198,6 @@ pub struct ReclamationStats {
     /// Tokens currently waiting on the deferred list
     /// (`retired - reclaimed`).
     pub deferred: u64,
-    /// High-water mark of the deferred list depth.
-    pub max_deferred: u64,
-    /// Successful global-epoch advances.
-    pub advances: u64,
 }
 
 impl EpochRuntime {
@@ -218,8 +212,6 @@ impl EpochRuntime {
                 garbage: Mutex::new(VecDeque::new()),
                 retired: AtomicU64::new(0),
                 reclaimed: AtomicU64::new(0),
-                advances: AtomicU64::new(0),
-                max_deferred: AtomicU64::new(0),
             }),
         }
     }
@@ -328,37 +320,27 @@ impl EpochRuntime {
                 return false;
             }
         }
-        if self
-            .inner
+        self.inner
             .epoch
             .compare_exchange(epoch, epoch + 1, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
-        {
-            self.inner.advances.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
     }
 
     /// Defer a token until two epochs have passed.
     ///
     /// Call *after* the object the token names has been unlinked from
-    /// every shared path. The caller may still be pinned (writers in
-    /// `EpochDemux` are); that only delays the token's own grace period,
-    /// never the correctness.
+    /// every shared path. A caller that is itself pinned only delays the
+    /// token's own grace period, never the correctness.
     pub fn retire(&self, token: u64) {
-        let depth = {
+        {
             let mut garbage = lock(&self.inner.garbage);
             // Sampling the epoch under the lock keeps the deque ordered
             // by retirement epoch, so `drain` can stop at the first entry
             // still in its grace period.
             let epoch = self.inner.epoch.load(Ordering::SeqCst);
             garbage.push_back(Retired { epoch, token });
-            garbage.len() as u64
-        };
+        }
         self.inner.retired.fetch_add(1, Ordering::Relaxed);
-        self.inner.max_deferred.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Hand back up to `budget` tokens whose grace period has elapsed,
@@ -366,8 +348,9 @@ impl EpochRuntime {
     /// handed back.
     ///
     /// `free` runs with the internal garbage lock held: it must not call
-    /// [`EpochRuntime::retire`] on this runtime (pushing to a caller-side
-    /// free list, as `EpochDemux` does, is the intended shape).
+    /// [`EpochRuntime::retire`] on this runtime (wiping the object the
+    /// token names, as the concurrent cuckoo table does, is the intended
+    /// shape).
     pub fn drain(&self, budget: usize, mut free: impl FnMut(u64)) -> usize {
         if budget == 0 {
             return 0;
@@ -395,31 +378,6 @@ impl EpochRuntime {
         freed
     }
 
-    /// Advance and drain until the deferred list is empty or no further
-    /// progress is possible (a pinned reader blocks the epoch). Returns
-    /// the number of tokens handed back. Tests use this to prove
-    /// "eventually reclaimed"; steady-state code uses the bounded
-    /// [`EpochRuntime::drain`].
-    pub fn flush(&self, mut free: impl FnMut(u64)) -> usize {
-        let mut total = 0;
-        loop {
-            self.try_advance();
-            let freed = self.drain(usize::MAX, &mut free);
-            total += freed;
-            if lock(&self.inner.garbage).is_empty() {
-                return total;
-            }
-            if freed == 0 && !self.try_advance() {
-                return total;
-            }
-        }
-    }
-
-    /// Number of tokens currently deferred.
-    pub fn deferred(&self) -> usize {
-        lock(&self.inner.garbage).len()
-    }
-
     /// Current reclamation accounting.
     pub fn stats(&self) -> ReclamationStats {
         let retired = self.inner.retired.load(Ordering::Relaxed);
@@ -429,8 +387,6 @@ impl EpochRuntime {
             retired,
             reclaimed,
             deferred: retired - reclaimed,
-            max_deferred: self.inner.max_deferred.load(Ordering::Relaxed),
-            advances: self.inner.advances.load(Ordering::Relaxed),
         }
     }
 }
@@ -439,6 +395,20 @@ impl EpochRuntime {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+
+    /// Advance and drain until the deferred list is empty or a pinned
+    /// reader blocks the epoch; returns the number of tokens handed back.
+    fn flush(rt: &EpochRuntime) -> usize {
+        let mut total = 0;
+        loop {
+            rt.try_advance();
+            let freed = rt.drain(usize::MAX, |_| {});
+            total += freed;
+            if rt.stats().deferred == 0 || (freed == 0 && !rt.try_advance()) {
+                return total;
+            }
+        }
+    }
 
     #[test]
     fn unpinned_tokens_flow_through_after_two_advances() {
@@ -456,8 +426,7 @@ mod tests {
         assert_eq!(stats.retired, 2);
         assert_eq!(stats.reclaimed, 2);
         assert_eq!(stats.deferred, 0);
-        assert_eq!(stats.max_deferred, 2);
-        assert!(stats.advances >= 2);
+        assert_eq!(stats.epoch, 2);
     }
 
     #[test]
@@ -468,11 +437,11 @@ mod tests {
         // One advance can still happen (we are pinned at the current
         // epoch), but the second — the one that would free our token —
         // cannot while the guard lives.
-        assert_eq!(rt.flush(|_| {}), 0);
-        assert_eq!(rt.deferred(), 1);
+        assert_eq!(flush(&rt), 0);
+        assert_eq!(rt.stats().deferred, 1);
         drop(guard);
-        assert_eq!(rt.flush(|_| {}), 1);
-        assert_eq!(rt.deferred(), 0);
+        assert_eq!(flush(&rt), 1);
+        assert_eq!(rt.stats().deferred, 0);
     }
 
     #[test]
@@ -482,9 +451,9 @@ mod tests {
         let inner = rt.pin();
         rt.retire(1);
         drop(outer); // dropping out of order must not unpin
-        assert_eq!(rt.flush(|_| {}), 0, "inner guard still pins");
+        assert_eq!(flush(&rt), 0, "inner guard still pins");
         drop(inner);
-        assert_eq!(rt.flush(|_| {}), 1);
+        assert_eq!(flush(&rt), 1);
     }
 
     #[test]
@@ -494,7 +463,7 @@ mod tests {
         let _guard_a = a.pin();
         b.retire(9);
         // A guard on `a` must not stall reclamation on `b`.
-        assert_eq!(b.flush(|_| {}), 1);
+        assert_eq!(flush(&b), 1);
     }
 
     #[test]
@@ -513,7 +482,7 @@ mod tests {
         }
         assert_eq!(rt.stats().retired, (MAX_THREADS * 2) as u64);
         // Everyone has exited, so the whole backlog drains.
-        assert_eq!(rt.flush(|_| {}), MAX_THREADS * 2);
+        assert_eq!(flush(&rt), MAX_THREADS * 2);
     }
 
     #[test]
@@ -544,10 +513,10 @@ mod tests {
         });
         let total = rt.stats().retired;
         assert_eq!(total, 5_000);
-        rt.flush(|_| {});
+        flush(&rt);
         let stats = rt.stats();
         assert_eq!(stats.reclaimed, total, "all retired tokens reclaimed");
         assert_eq!(stats.deferred, 0);
-        assert!(stats.advances >= 2);
+        assert!(stats.epoch >= 2);
     }
 }

@@ -15,7 +15,6 @@
 //! | [`CuckooDemux`] | beyond the paper: Cuckoo++-style flow table | 4-way one-cache-line tagged buckets, ≤ 2 lines per lookup at any N |
 //! | [`ConcurrentCuckooDemux`] | — concurrent twin | seqlocked buckets read under an [`epoch`] pin, writers serialized |
 //! | [`concurrent::ShardedDemux`] | \[Dov90\] parallel-TCP setting | hash chains with per-chain locks |
-//! | [`concurrent::EpochDemux`] | RCU lineage (McKenney, Sequent) | hash chains, lock-free lookups over [`epoch`]-reclaimed nodes |
 //!
 //! The figure of merit throughout the paper — and therefore the unit this
 //! crate counts — is the **number of PCBs examined** per lookup. A cache
@@ -74,7 +73,6 @@ pub mod concurrent;
 pub mod cuckoo;
 mod direct;
 pub mod epoch;
-mod epoch_demux;
 pub mod front;
 mod hashed_mtf;
 mod list;
@@ -90,7 +88,7 @@ pub use adaptive::AdaptiveDemux;
 pub use bsd::BsdDemux;
 pub use cuckoo::{ConcurrentCuckooDemux, CuckooDemux, CuckooStats};
 pub use direct::DirectDemux;
-pub use front::{ConcurrentFrontDemux, FrontDemux, FrontFilter, FrontFilterStats, FrontStats};
+pub use front::{FrontDemux, FrontFilter, FrontFilterStats, FrontStats};
 pub use hashed_mtf::HashedMtfDemux;
 pub use list::PcbList;
 pub use mtf::MtfDemux;

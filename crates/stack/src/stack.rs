@@ -706,9 +706,9 @@ impl Listener {
     }
 }
 
-/// One frame's fate after the batched-receive parse stage. Payloads are
-/// kept as byte ranges into the original frame so the parse results carry
-/// no borrows (the frames stay with the caller).
+/// One frame's fate after the receive parse stage ([`Stack::classify`]).
+/// Payloads are kept as byte ranges into the original frame so the parse
+/// results carry no borrows (a batch's frames stay with the caller).
 #[derive(Debug)]
 enum Classified {
     /// Fully handled during parsing: wire errors, frames for other hosts,
@@ -1932,45 +1932,35 @@ impl Stack {
     /// counted); `Ok` carries the classification, any reply frames, and
     /// the demultiplexing cost.
     pub fn receive(&mut self, frame: &[u8]) -> Result<RxResult, WireError> {
-        self.stats.frames_in += 1;
-
-        let packet = Ipv4Packet::new_checked(frame).map_err(|e| {
-            self.stats.ip_errors += 1;
-            e
-        })?;
-        let ip = Ipv4Repr::parse(&packet).map_err(|e| {
-            self.stats.ip_errors += 1;
-            e
-        })?;
-        if ip.dst_addr != self.config.local_addr {
-            self.stats.not_for_us += 1;
-            return Ok(RxResult {
-                outcome: RxOutcome::NotForUs,
-                replies: Vec::new(),
-                pcbs_examined: 0,
-            });
-        }
-        match ip.protocol {
-            IpProtocol::Tcp => self.receive_tcp(&ip, packet.payload()),
-            IpProtocol::Udp => {
-                let header_len = packet.header_len();
-                self.receive_udp(&ip, packet.payload(), frame, header_len)
+        match self.classify(frame) {
+            Classified::Done(result) => result,
+            Classified::Tcp {
+                key,
+                kind,
+                tcp,
+                payload,
+            } => {
+                // The paper's subject: one instrumented lookup per segment.
+                let lookup = self.demux.lookup(&key, kind);
+                let payload = &frame[payload.0..payload.1];
+                Ok(self.apply_tcp(&key, &tcp, payload, lookup))
             }
-            IpProtocol::Icmp => self.receive_icmp(&ip, packet.payload()),
-            IpProtocol::Unknown(_) => {
-                self.stats.bad_protocol += 1;
-                Ok(RxResult {
-                    outcome: RxOutcome::UnhandledProtocol,
-                    replies: Vec::new(),
-                    pcbs_examined: 0,
-                })
+            Classified::Udp {
+                key,
+                payload,
+                header_len,
+            } => {
+                let lookup = self.demux.lookup(&key, PacketKind::Data);
+                let payload = &frame[payload.0..payload.1];
+                Ok(self.apply_udp(&key, payload, frame, header_len, lookup))
             }
         }
     }
 
-    /// Parse one frame into its batched-receive classification,
-    /// performing the same validation (and error counting) as
-    /// [`Stack::receive`]'s front half.
+    /// Parse and validate one frame up to its demux lookup, counting
+    /// wire errors and fully handling every frame that needs no lookup.
+    /// The front half of both [`Stack::receive`] and
+    /// [`Stack::receive_batch`].
     fn classify(&mut self, frame: &[u8]) -> Classified {
         self.stats.frames_in += 1;
         let packet = match Ipv4Packet::new_checked(frame) {
@@ -2221,26 +2211,6 @@ impl Stack {
         }
     }
 
-    fn receive_udp(
-        &mut self,
-        ip: &Ipv4Repr,
-        datagram: &[u8],
-        full_packet: &[u8],
-        ip_header_len: usize,
-    ) -> Result<RxResult, WireError> {
-        let datagram = UdpDatagram::new_checked(datagram).map_err(|e| {
-            self.stats.tcp_errors += 1;
-            e
-        })?;
-        let udp = UdpRepr::parse(&datagram, ip.src_addr, ip.dst_addr).map_err(|e| {
-            self.stats.tcp_errors += 1;
-            e
-        })?;
-        let key = ConnectionKey::from_incoming_udp(ip, &udp);
-        let lookup = self.demux.lookup(&key, PacketKind::Data);
-        Ok(self.apply_udp(&key, datagram.payload(), full_packet, ip_header_len, lookup))
-    }
-
     /// The demux-dependent half of UDP receive: everything after the
     /// lookup. `receive` calls it with a fresh per-frame lookup;
     /// `receive_batch` with a result from the batched lookup.
@@ -2295,24 +2265,6 @@ impl Stack {
             replies: vec![frame],
             pcbs_examined: lookup.examined,
         }
-    }
-
-    fn receive_tcp(&mut self, ip: &Ipv4Repr, segment: &[u8]) -> Result<RxResult, WireError> {
-        let segment = TcpSegment::new_checked(segment).map_err(|e| {
-            self.stats.tcp_errors += 1;
-            e
-        })?;
-        let tcp = TcpRepr::parse(&segment, ip.src_addr, ip.dst_addr).map_err(|e| {
-            self.stats.tcp_errors += 1;
-            e
-        })?;
-        let payload = segment.payload();
-        let key = ConnectionKey::from_incoming_tcp(ip, &tcp);
-
-        // The paper's subject: one instrumented lookup per segment.
-        let kind = Self::classify_tcp(&tcp, payload);
-        let lookup = self.demux.lookup(&key, kind);
-        Ok(self.apply_tcp(&key, &tcp, payload, lookup))
     }
 
     /// Classify an incoming TCP segment for the demultiplexer. Pure ACKs

@@ -44,13 +44,6 @@ pub enum CounterId {
     Batches,
     /// Batched frames re-looked-up after a mid-batch table change.
     BatchRelookups,
-    /// Demux chain nodes retired to the epoch runtime (unlinked, awaiting
-    /// a grace period).
-    EpochRetired,
-    /// Retired nodes whose grace period elapsed and were recycled.
-    EpochReclaimed,
-    /// Global epoch advances of the reclamation runtime.
-    EpochAdvances,
     /// Entries displaced to their alternate bucket by cuckoo inserts
     /// (kicks), including displacements performed while rehashing.
     CuckooKicks,
@@ -80,7 +73,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in export order.
-    pub const ALL: [CounterId; 24] = [
+    pub const ALL: [CounterId; 21] = [
         CounterId::Lookups,
         CounterId::CacheHits,
         CounterId::DemuxHits,
@@ -94,9 +87,6 @@ impl CounterId {
         CounterId::TimeoutAborts,
         CounterId::Batches,
         CounterId::BatchRelookups,
-        CounterId::EpochRetired,
-        CounterId::EpochReclaimed,
-        CounterId::EpochAdvances,
         CounterId::CuckooKicks,
         CounterId::CuckooEvictionLoops,
         CounterId::FastRetransmits,
@@ -123,9 +113,6 @@ impl CounterId {
             CounterId::TimeoutAborts => "timeout_aborts",
             CounterId::Batches => "batches",
             CounterId::BatchRelookups => "batch_relookups",
-            CounterId::EpochRetired => "epoch_retired",
-            CounterId::EpochReclaimed => "epoch_reclaimed",
-            CounterId::EpochAdvances => "epoch_advances",
             CounterId::CuckooKicks => "cuckoo_kicks",
             CounterId::CuckooEvictionLoops => "cuckoo_eviction_loops",
             CounterId::FastRetransmits => "fast_retransmits",

@@ -22,9 +22,6 @@ pub enum HistogramId {
     /// Re-armed retransmission timeouts, in stack ticks, one sample per
     /// RTO backoff.
     RtoTicks,
-    /// Depth of the epoch runtime's deferred-retire list, sampled after
-    /// each writer operation's bounded drain.
-    EpochDeferred,
     /// Entries displaced per cuckoo insert (0 for the common
     /// free-slot-in-either-bucket case), one sample per insert.
     CuckooInsertKicks,
@@ -38,11 +35,10 @@ pub enum HistogramId {
 
 impl HistogramId {
     /// Every histogram, in export order.
-    pub const ALL: [HistogramId; 7] = [
+    pub const ALL: [HistogramId; 6] = [
         HistogramId::Examined,
         HistogramId::RxBatchSize,
         HistogramId::RtoTicks,
-        HistogramId::EpochDeferred,
         HistogramId::CuckooInsertKicks,
         HistogramId::CwndBytes,
         HistogramId::FrontOccupancy,
@@ -54,7 +50,6 @@ impl HistogramId {
             HistogramId::Examined => "examined",
             HistogramId::RxBatchSize => "rx_batch_size",
             HistogramId::RtoTicks => "rto_ticks",
-            HistogramId::EpochDeferred => "epoch_deferred",
             HistogramId::CuckooInsertKicks => "cuckoo_insert_kicks",
             HistogramId::CwndBytes => "cwnd_bytes",
             HistogramId::FrontOccupancy => "front_occupancy",
@@ -221,25 +216,6 @@ impl Recorder {
         let mut t = self.lock();
         t.counters.incr(CounterId::Batches);
         t.histograms[HistogramId::RxBatchSize as usize].record(size);
-    }
-
-    /// Record one epoch-reclamation step: `retired` nodes handed to the
-    /// runtime, `reclaimed` nodes recycled by the bounded drain,
-    /// `advances` global-epoch advances (0 or 1 per step), and the
-    /// deferred-list `deferred_depth` left afterwards (sampled into the
-    /// `epoch_deferred` histogram). One lock acquisition for all four.
-    pub fn epoch_reclamation(
-        &self,
-        retired: u64,
-        reclaimed: u64,
-        advances: u64,
-        deferred_depth: u32,
-    ) {
-        let mut t = self.lock();
-        t.counters.add(CounterId::EpochRetired, retired);
-        t.counters.add(CounterId::EpochReclaimed, reclaimed);
-        t.counters.add(CounterId::EpochAdvances, advances);
-        t.histograms[HistogramId::EpochDeferred as usize].record(deferred_depth);
     }
 
     /// Record one cuckoo insert: `kicks` entries displaced to their

@@ -238,34 +238,34 @@ mod tests {
         let snap = sample_recorder().snapshot();
         let text = snap.to_json_lines();
         let lines: Vec<&str> = text.lines().collect();
-        // 24 counters + 7 histograms + 1 events header + 6 events.
-        assert_eq!(lines.len(), 24 + 7 + 1 + 6, "{text}");
+        // 21 counters + 6 histograms + 1 events header + 6 events.
+        assert_eq!(lines.len(), 21 + 6 + 1 + 6, "{text}");
         assert_eq!(
             lines[0],
             "{\"type\":\"counter\",\"name\":\"lookups\",\"value\":3}"
         );
         assert!(
-            lines[24].starts_with(
+            lines[21].starts_with(
                 "{\"type\":\"histogram\",\"name\":\"examined\",\"count\":3,\"sum\":60,\"max\":40,"
             ),
             "{}",
-            lines[24]
+            lines[21]
         );
         assert!(
-            lines[24].contains("\"buckets\":[[1,1],[16,1],[32,1]]"),
+            lines[21].contains("\"buckets\":[[1,1],[16,1],[32,1]]"),
             "{}",
-            lines[24]
+            lines[21]
         );
         assert_eq!(
-            lines[31],
+            lines[27],
             "{\"type\":\"events\",\"recorded\":6,\"dropped\":0}"
         );
         assert_eq!(
-            lines[32],
+            lines[28],
             "{\"type\":\"event\",\"seq\":0,\"kind\":\"demux_hit\",\"examined\":1,\"cache_hit\":true}"
         );
         assert_eq!(
-            lines[37],
+            lines[33],
             "{\"type\":\"event\",\"seq\":5,\"kind\":\"conn_close\",\"cause\":\"timeout\"}"
         );
     }
@@ -281,9 +281,9 @@ mod tests {
     fn empty_snapshot_still_exports_full_schema() {
         let text = Snapshot::empty().to_json_lines();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 24 + 7 + 1);
-        assert!(lines[25].contains("\"count\":0"));
-        assert!(lines[25].contains("\"buckets\":[]"));
+        assert_eq!(lines.len(), 21 + 6 + 1);
+        assert!(lines[22].contains("\"count\":0"));
+        assert!(lines[22].contains("\"buckets\":[]"));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 #   6. the structured telemetry export of the fixed-seed lossy-link run
 #      matches the checked-in golden byte for byte (counters, histogram
 #      buckets, and the event trace);
-#   7. the lock-free concurrent read path survives a widened stress
-#      sweep (16 seeds of multi-threaded churn against the epoch-
-#      reclaimed demux);
+#   7. every concurrent demux tier survives a widened stress sweep
+#      (16 seeds of multi-threaded churn against the lock-per-chain
+#      and the epoch-reclaimed cuckoo tiers);
 #   8. the perf-trajectory pipeline is intact: the snapshot bench bins
 #      run end to end in smoke mode with --json, and the emitted
 #      BENCH_*.json files carry the fixed tcpdemux-bench/v1 schema with
@@ -108,8 +108,8 @@ if ! cmp -s "$export_run" "$golden"; then
 fi
 echo "ok: telemetry export matches golden ($(wc -c <"$export_run") bytes)"
 
-echo "== 7/12 epoch stress sweep (TCPDEMUX_STRESS_SEEDS=16) =="
-TCPDEMUX_STRESS_SEEDS=16 cargo test -q --release --offline --test epoch_stress
+echo "== 7/12 concurrent-tier stress sweep (TCPDEMUX_STRESS_SEEDS=16) =="
+TCPDEMUX_STRESS_SEEDS=16 cargo test -q --release --offline --test concurrent_stress
 echo "ok: 16-seed concurrent churn clean"
 
 echo "== 8/12 bench-smoke JSON snapshots (schema + label-set drift) =="

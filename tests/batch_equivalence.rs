@@ -231,10 +231,10 @@ fn sweep_tiers() -> Vec<Box<dyn Demux>> {
 }
 
 /// Satellite sweep for the batch accounting audit: drive every tier —
-/// cache-enabled and cache-disabled, plus every concurrent variant
-/// including `EpochDemux` — at miss ratios of 0%, 30%, and 100%, and
-/// assert the batched path reproduces the sequential `examined` counts
-/// and accumulated `LookupStats` exactly. Miss-heavy traffic is where
+/// cache-enabled and cache-disabled, plus every concurrent tier — at
+/// miss ratios of 0%, 30%, and 100%, and assert the batched path
+/// reproduces the sequential `examined` counts and accumulated
+/// `LookupStats` exactly. Miss-heavy traffic is where
 /// the probe-plus-full-chain-length accounting (and the scanned-prefix
 /// replay for repeated missing keys) would drift first.
 #[test]
@@ -310,7 +310,7 @@ fn batch_accounting_matches_sequential_across_miss_ratios() {
                 );
             }
 
-            // Concurrent tiers (sharded, rw-sharded, global-lock, epoch).
+            // Concurrent tiers (sharded, cuckoo-conc).
             let chains = rng.usize_in(1, 24);
             let seq_conc = concurrent_suite(chains);
             let batch_conc = concurrent_suite(chains);
@@ -350,10 +350,10 @@ fn batch_accounting_matches_sequential_across_miss_ratios() {
 }
 
 /// The same batch≡sequential property for every `ConcurrentDemux`
-/// variant — including the lock-free `EpochDemux`, whose batch path walks
-/// each chain snapshot once under a single epoch pin. Driven from one
+/// tier — including the lock-free-read `ConcurrentCuckooDemux`, whose
+/// batch path probes every key under a single epoch pin. Driven from one
 /// thread, so the sequential twin is a well-defined oracle; the
-/// multi-threaded behaviour is covered by `tests/epoch_stress.rs`.
+/// multi-threaded behaviour is covered by `tests/concurrent_stress.rs`.
 #[test]
 fn concurrent_batch_lookup_matches_sequential_lookup() {
     check_cases(

@@ -1,4 +1,6 @@
-//! Seeded stress test for the lock-free `EpochDemux` read path.
+//! Seeded stress test for every concurrent demux tier: the
+//! lock-per-chain `ShardedDemux` and the lock-free-read
+//! `ConcurrentCuckooDemux`.
 //!
 //! The test fabricates `PcbId`s whose packed bits carry their identity:
 //! the low word is the *global key index* (unique per connection key) and
@@ -7,10 +9,10 @@
 //! alone:
 //!
 //! - a lookup returning an id whose index ≠ the looked-up key's index is
-//!   a cross-key corruption (e.g. a torn read of a recycled node);
+//!   a cross-key corruption (e.g. a torn read of a moving entry);
 //! - an id with generation `g` returned after `floor[k]` advanced past
-//!   `g` is a **use-after-retire** — the node was unlinked and its
-//!   removal acknowledged before the lookup began;
+//!   `g` is a **use-after-retire** — the entry was removed or replaced
+//!   and the writer had returned before the lookup began;
 //! - a generation above `ceiling[k]` was never inserted at all.
 //!
 //! `floor[k]` is advanced (fetch_max) only *after* `remove` returns, and
@@ -18,26 +20,25 @@
 //! before/after its lookup bracket every legally-visible generation.
 //!
 //! The seed sweep is driven by `TCPDEMUX_STRESS_SEEDS` (default 4;
-//! `scripts/verify.sh` runs 16). After the churn, the epoch runtime must
-//! reach full quiescence: every retired node reclaimed, deferred depth
-//! zero, and the high-water deferred depth bounded.
+//! `scripts/verify.sh` runs 16). The cuckoo table starts at 8 buckets
+//! (32 slots) and each writer keeps about two thirds of its 64 keys live,
+//! so even one writer alone forces growth while readers probe, pushing
+//! superseded generations through the epoch runtime. After the churn
+//! that runtime must reach full quiescence: every retired generation
+//! reclaimed and nothing left deferred.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use tcpdemux::demux::concurrent::{ConcurrentDemux, EpochDemux};
-use tcpdemux::demux::PacketKind;
+use tcpdemux::demux::concurrent::{concurrent_suite, ConcurrentDemux, ShardedDemux};
+use tcpdemux::demux::{ConcurrentCuckooDemux, PacketKind};
 use tcpdemux::hash::Multiplicative;
 use tcpdemux::pcb::{ConnectionKey, PcbId};
 use tcpdemux_testprop::TestRng;
 
 const WRITERS: usize = 2;
 const READERS: usize = 2;
-const KEYS_PER_WRITER: usize = 32;
-const OPS_PER_WRITER: usize = 400;
-const CHAINS: usize = 7; // few chains → long chains → real prefix copying
-/// Generous but real bound on the deferred-retire high-water mark: churn
-/// retires at most a chain's length per op and every op drains up to 64,
-/// so the backlog only grows while a reader guard blocks the epoch.
-const MAX_DEFERRED_BOUND: u64 = 8192;
+const KEYS_PER_WRITER: usize = 64;
+const OPS_PER_WRITER: usize = 800;
+const CHAINS: usize = 7; // few chains → long chains → real lock contention
 
 fn key_for(global: usize) -> ConnectionKey {
     ConnectionKey::new(
@@ -91,9 +92,10 @@ fn check_found(global: usize, id: PcbId, floor_before: u64, ceiling_after: u64, 
     );
 }
 
-fn run_one_seed(seed: u64) {
+/// Churn `demux` from the writers while the readers check every result
+/// against the generation bounds; the table ends empty.
+fn churn(demux: &dyn ConcurrentDemux, seed: u64) {
     let total_keys = WRITERS * KEYS_PER_WRITER;
-    let demux = EpochDemux::new(Multiplicative, CHAINS);
     let trackers: Vec<KeyTracker> = (0..total_keys)
         .map(|_| KeyTracker {
             floor: AtomicU64::new(0),
@@ -105,7 +107,6 @@ fn run_one_seed(seed: u64) {
     std::thread::scope(|s| {
         let mut writer_handles = Vec::new();
         for w in 0..WRITERS {
-            let demux = &demux;
             let trackers = &trackers;
             writer_handles.push(s.spawn(move || {
                 let mut rng = TestRng::from_seed(seed ^ (w as u64).wrapping_mul(0x9e37_79b9));
@@ -157,7 +158,6 @@ fn run_one_seed(seed: u64) {
             }));
         }
         for r in 0..READERS {
-            let demux = &demux;
             let trackers = &trackers;
             let done = &done;
             s.spawn(move || {
@@ -214,22 +214,11 @@ fn run_one_seed(seed: u64) {
         done.store(true, Ordering::Relaxed);
     });
 
-    // Quiescent teardown: everything retired must be reclaimable now.
-    assert_eq!(demux.len(), 0, "writers drained all their keys");
-    demux.flush_reclamation();
-    let stats = demux.reclamation_stats();
     assert_eq!(
-        stats.retired, stats.reclaimed,
-        "all retired nodes eventually reclaimed: {stats:?}"
-    );
-    assert_eq!(stats.deferred, 0, "{stats:?}");
-    assert!(
-        stats.retired > 0,
-        "churn must have retired nodes: {stats:?}"
-    );
-    assert!(
-        stats.max_deferred <= MAX_DEFERRED_BOUND,
-        "deferred-reclamation depth unbounded: {stats:?}"
+        demux.len(),
+        0,
+        "{}: writers drained all their keys",
+        demux.name()
     );
     // A fully drained table answers nothing.
     for global in (0..total_keys).step_by(7) {
@@ -238,8 +227,35 @@ fn run_one_seed(seed: u64) {
 }
 
 #[test]
-fn epoch_demux_survives_concurrent_churn_across_seeds() {
+fn every_concurrent_tier_survives_churn_across_seeds() {
+    let names: Vec<String> = concurrent_suite(CHAINS).iter().map(|d| d.name()).collect();
+    assert_eq!(
+        names,
+        ["sharded-sequent(7)", "cuckoo-conc"],
+        "every concurrent_suite tier needs a churn run below"
+    );
     for seed in 0..seed_count() {
-        run_one_seed(0xc0ffee ^ seed.wrapping_mul(0x0100_0000_01b3));
+        let seed = 0xc0ffee ^ seed.wrapping_mul(0x0100_0000_01b3);
+        churn(&ShardedDemux::new(Multiplicative, CHAINS), seed);
+
+        let cuckoo = ConcurrentCuckooDemux::new();
+        churn(&cuckoo, seed);
+        assert!(
+            cuckoo.generation() > 0,
+            "the key population must force growth under concurrent readers"
+        );
+        // Quiescent teardown: with no reader pinned, each writer op
+        // advances the epoch and drains, so a few no-op removes must
+        // reclaim every retired generation.
+        for _ in 0..8 {
+            cuckoo.remove(&key_for(0));
+        }
+        let stats = cuckoo.reclamation_stats();
+        assert!(stats.retired > 0, "growth retires generations: {stats:?}");
+        assert_eq!(
+            stats.retired, stats.reclaimed,
+            "all retired generations eventually reclaimed: {stats:?}"
+        );
+        assert_eq!(stats.deferred, 0, "{stats:?}");
     }
 }
