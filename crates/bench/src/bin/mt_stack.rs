@@ -20,9 +20,10 @@
 //!
 //! `TCPDEMUX_SMOKE=1` shrinks everything so `scripts/verify.sh` can run
 //! the whole path quickly; `--json BENCH_stack_shards.json` exports the
-//! `tcpdemux-bench/v1` snapshot checked in at the repo root. On a
-//! single-core container the shard sweep measures *oversubscribed*
-//! threads — see EXPERIMENTS.md A8 for the honest analysis.
+//! `tcpdemux-bench/v1` snapshot checked in at the repo root. A cell
+//! runs K + 1 threads, so once that exceeds the host's CPUs the shard
+//! sweep measures *oversubscribed* threads — see EXPERIMENTS.md A8 for
+//! the analysis on 2 CPUs.
 
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -282,7 +283,7 @@ fn main() {
         p.reps
     );
     println!(
-        "available parallelism: {} (single-core runs measure oversubscription, not speedup)",
+        "available parallelism: {} (cells with more threads than CPUs measure oversubscription)",
         std::thread::available_parallelism().map_or(0, |n| n.get())
     );
     for mix in &p.mixes {

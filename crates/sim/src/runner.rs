@@ -216,97 +216,6 @@ where
     reports
 }
 
-/// Like [`run_trace`], but arrivals flow through
-/// [`tcpdemux_core::Demux::lookup_batch`] in batches of up to
-/// `batch_size` packets.
-///
-/// A pending batch is flushed early whenever a connection-management or
-/// departure event interleaves, so every lookup observes exactly the
-/// table state the sequential runner would have shown it. The reports are
-/// therefore identical to [`run_trace`]'s on any trace (pinned by tests);
-/// what changes is the wall-clock cost of producing them, which the
-/// `batch_rx` bench measures.
-pub fn run_trace_batched<I>(
-    trace: I,
-    suite: &mut [SuiteEntry],
-    batch_size: usize,
-) -> Vec<AlgoReport>
-where
-    I: IntoIterator<Item = TraceEvent>,
-{
-    assert!(batch_size > 0, "batch size must be nonzero");
-    let mut arena = PcbArena::new();
-    let mut reports = fresh_reports(suite);
-    let mut live: std::collections::HashMap<ConnectionKey, tcpdemux_pcb::PcbId> =
-        std::collections::HashMap::new();
-    let mut pending: Vec<(ConnectionKey, PacketKind)> = Vec::with_capacity(batch_size);
-    let mut results: Vec<LookupResult> = Vec::with_capacity(batch_size);
-
-    fn flush(
-        pending: &mut Vec<(ConnectionKey, PacketKind)>,
-        results: &mut Vec<LookupResult>,
-        suite: &mut [SuiteEntry],
-        reports: &mut [AlgoReport],
-    ) {
-        if pending.is_empty() {
-            return;
-        }
-        for (entry, report) in suite.iter_mut().zip(reports.iter_mut()) {
-            entry.demux.lookup_batch(pending, results);
-            entry.recorder.batch(pending.len() as u32);
-            for (&(_, kind), &r) in pending.iter().zip(results.iter()) {
-                record_arrival(report, &entry.recorder, kind, r);
-            }
-        }
-        pending.clear();
-    }
-
-    for event in trace {
-        match event {
-            TraceEvent::Arrival { key, kind, .. } => {
-                pending.push((key, kind));
-                if pending.len() >= batch_size {
-                    flush(&mut pending, &mut results, suite, &mut reports);
-                }
-            }
-            other => {
-                flush(&mut pending, &mut results, suite, &mut reports);
-                match other {
-                    TraceEvent::Open { key, .. } => {
-                        let id = *live.entry(key).or_insert_with(|| {
-                            arena.insert(Pcb::new_in_state(key, TcpState::Established))
-                        });
-                        for entry in suite.iter_mut() {
-                            entry.demux.insert(key, id);
-                            entry.recorder.event(Event::ConnOpen);
-                        }
-                    }
-                    TraceEvent::Close { key, .. } => {
-                        if let Some(id) = live.remove(&key) {
-                            for entry in suite.iter_mut() {
-                                entry.demux.remove(&key);
-                                entry.recorder.event(Event::ConnClose {
-                                    cause: CloseCause::Graceful,
-                                });
-                            }
-                            arena.remove(id);
-                        }
-                    }
-                    TraceEvent::Departure { key, .. } => {
-                        for entry in suite.iter_mut() {
-                            entry.demux.note_send(&key);
-                        }
-                    }
-                    TraceEvent::Arrival { .. } => unreachable!("matched above"),
-                }
-            }
-        }
-    }
-    flush(&mut pending, &mut results, suite, &mut reports);
-    seal_reports(suite, &mut reports);
-    reports
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,67 +341,6 @@ mod tests {
         for entry in &suite {
             assert_eq!(entry.demux.len(), 1, "{}", entry.name);
         }
-    }
-
-    fn lifecycle_trace() -> Vec<TraceEvent> {
-        let mut trace: Vec<TraceEvent> = (0..20)
-            .map(|i| TraceEvent::Open {
-                at: SimTime(i),
-                key: key(i as u32),
-            })
-            .collect();
-        for i in 0..400u64 {
-            trace.push(TraceEvent::Arrival {
-                at: SimTime(20 + i),
-                key: key(((i * 7) % 25) as u32), // 20 live + 5 misses
-                kind: if i % 3 == 0 {
-                    PacketKind::Ack
-                } else {
-                    PacketKind::Data
-                },
-            });
-            if i % 37 == 0 {
-                trace.push(TraceEvent::Departure {
-                    at: SimTime(20 + i),
-                    key: key((i % 20) as u32),
-                });
-            }
-            if i % 97 == 0 {
-                trace.push(TraceEvent::Close {
-                    at: SimTime(20 + i),
-                    key: key((i % 20) as u32),
-                });
-            }
-        }
-        trace
-    }
-
-    fn reports_equal(a: &[AlgoReport], b: &[AlgoReport]) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.stats, y.stats, "{}", x.name);
-            assert_eq!(x.data_stats, y.data_stats, "{}", x.name);
-            assert_eq!(x.ack_stats, y.ack_stats, "{}", x.name);
-            assert_eq!(x.lost_packets, y.lost_packets, "{}", x.name);
-            assert_eq!(x.histogram.count(), y.histogram.count(), "{}", x.name);
-        }
-    }
-
-    #[test]
-    fn batched_runner_matches_sequential() {
-        let trace = lifecycle_trace();
-        let baseline = run_trace(trace.clone(), &mut standard_suite());
-        for batch_size in [1usize, 8, 32, 128] {
-            let batched = run_trace_batched(trace.clone(), &mut standard_suite(), batch_size);
-            reports_equal(&baseline, &batched);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be nonzero")]
-    fn batched_runner_rejects_zero() {
-        let _ = run_trace_batched(Vec::new(), &mut standard_suite(), 0);
     }
 
     #[test]

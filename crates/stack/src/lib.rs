@@ -38,13 +38,11 @@
 //!
 //! # Batched receive and allocation-free transmit
 //!
-//! [`Stack::receive_batch`] processes a slice of frames through a single
-//! [`tcpdemux_core::Demux::lookup_batch`] call: parse all, demultiplex
-//! once, then apply state updates per frame — the shape of a driver
-//! handing the stack a ring's worth of packets per interrupt. Per-frame
-//! results are identical to calling [`Stack::receive`] in a loop; if a
-//! frame mid-batch changes the connection table, later frames are
-//! transparently re-looked-up (see [`BatchRxResult`]).
+//! [`Stack::receive_batch`] takes a slice of frames — a NIC receive
+//! ring's worth of packets per interrupt — and runs [`Stack::receive`] on each in order, so every frame still costs
+//! exactly one demux lookup. Batched *lookups* live inside the
+//! demultiplexers ([`tcpdemux_core::Demux::lookup_batch`]), where they
+//! pay; at stack level they did not (EXPERIMENTS.md A1b).
 //!
 //! On the transmit side, every emitted frame draws its buffer from an
 //! internal [`TxPool`]. A caller that returns spent buffers via

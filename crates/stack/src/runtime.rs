@@ -159,7 +159,7 @@ impl ShardedStack {
     }
 
     /// Drain up to `max` frames from one shard's ring through its stack's
-    /// batched receive path. The shard's worker calls this in a loop;
+    /// [`Stack::receive_batch`]. The shard's worker calls this in a loop;
     /// any thread may call it for any shard, but only one at a time per
     /// shard makes progress (the consumer lock serializes).
     pub fn drain(&self, shard: ShardId, max: usize) -> BatchRxResult {
@@ -170,11 +170,7 @@ impl ShardedStack {
             consumer.pop_batch(&mut frames, max);
         }
         if frames.is_empty() {
-            return BatchRxResult {
-                results: Vec::new(),
-                batched_lookups: 0,
-                relookups: 0,
-            };
+            return BatchRxResult::default();
         }
         let mut stack = slot.stack.lock().expect("shard stack lock");
         let result = stack.receive_batch(&frames);

@@ -24,6 +24,9 @@ pub struct StackStats {
     pub listener_hits: u64,
     /// Segments that matched nothing and provoked an RST.
     pub resets_sent: u64,
+    /// RSTs that matched nothing; dropped without a reply, since an RST
+    /// never provokes an RST (RFC 9293 §3.10.7.1).
+    pub unmatched_resets: u64,
     /// Out-of-order segments dropped (re-ACKed, not queued).
     pub out_of_order_drops: u64,
     /// Payload bytes delivered to sockets.
@@ -64,6 +67,7 @@ impl StackStats {
             demux_hits,
             listener_hits,
             resets_sent,
+            unmatched_resets,
             out_of_order_drops,
             bytes_delivered,
             frames_out,
@@ -83,6 +87,7 @@ impl StackStats {
         self.demux_hits += demux_hits;
         self.listener_hits += listener_hits;
         self.resets_sent += resets_sent;
+        self.unmatched_resets += unmatched_resets;
         self.out_of_order_drops += out_of_order_drops;
         self.bytes_delivered += bytes_delivered;
         self.frames_out += frames_out;

@@ -42,8 +42,6 @@ pub enum CounterId {
     TimeoutAborts,
     /// Receive batches processed.
     Batches,
-    /// Batched frames re-looked-up after a mid-batch table change.
-    BatchRelookups,
     /// Entries displaced to their alternate bucket by cuckoo inserts
     /// (kicks), including displacements performed while rehashing.
     CuckooKicks,
@@ -73,7 +71,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in export order.
-    pub const ALL: [CounterId; 21] = [
+    pub const ALL: [CounterId; 20] = [
         CounterId::Lookups,
         CounterId::CacheHits,
         CounterId::DemuxHits,
@@ -86,7 +84,6 @@ impl CounterId {
         CounterId::RtoBackoffs,
         CounterId::TimeoutAborts,
         CounterId::Batches,
-        CounterId::BatchRelookups,
         CounterId::CuckooKicks,
         CounterId::CuckooEvictionLoops,
         CounterId::FastRetransmits,
@@ -112,7 +109,6 @@ impl CounterId {
             CounterId::RtoBackoffs => "rto_backoffs",
             CounterId::TimeoutAborts => "timeout_aborts",
             CounterId::Batches => "batches",
-            CounterId::BatchRelookups => "batch_relookups",
             CounterId::CuckooKicks => "cuckoo_kicks",
             CounterId::CuckooEvictionLoops => "cuckoo_eviction_loops",
             CounterId::FastRetransmits => "fast_retransmits",

@@ -12,7 +12,7 @@
 //!   so exports have a stable schema;
 //! * [`Event`] + a bounded ring buffer — the most recent N structured
 //!   events (demux hit/miss with examined counts, connection lifecycle,
-//!   retransmission and RTO backoff, batch re-lookups);
+//!   retransmission and RTO backoff, fast retransmits, delayed ACKs);
 //! * [`Recorder`] — the cheap, cloneable handle the hot paths record
 //!   through. Recording never allocates: counters and histograms are
 //!   fixed arrays, the event ring is pre-allocated and overwrites its

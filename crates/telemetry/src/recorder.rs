@@ -120,7 +120,6 @@ impl Telemetry {
                     .record(u32::try_from(rto_ticks).unwrap_or(u32::MAX));
             }
             Event::Timeout => self.counters.incr(CounterId::TimeoutAborts),
-            Event::BatchRelookup => self.counters.incr(CounterId::BatchRelookups),
             Event::FastRetransmit { .. } => self.counters.incr(CounterId::FastRetransmits),
             Event::DelayedAck => self.counters.incr(CounterId::DelayedAcks),
             Event::ZeroWindowProbe => self.counters.incr(CounterId::ZeroWindowProbes),
@@ -301,7 +300,6 @@ mod tests {
             rto_ticks: 16,
         });
         r.event(Event::Timeout);
-        r.event(Event::BatchRelookup);
         let snap = r.snapshot();
         assert_eq!(snap.counter(CounterId::ConnOpened), 1);
         assert_eq!(snap.counter(CounterId::ConnClosed), 2);
@@ -309,10 +307,9 @@ mod tests {
         assert_eq!(snap.counter(CounterId::Retransmits), 1);
         assert_eq!(snap.counter(CounterId::RtoBackoffs), 1);
         assert_eq!(snap.counter(CounterId::TimeoutAborts), 1);
-        assert_eq!(snap.counter(CounterId::BatchRelookups), 1);
         assert_eq!(snap.histogram(HistogramId::RtoTicks).count(), 1);
         assert_eq!(snap.histogram(HistogramId::RtoTicks).max(), 16);
-        assert_eq!(snap.events_recorded(), 7);
+        assert_eq!(snap.events_recorded(), 6);
     }
 
     #[test]

@@ -174,7 +174,6 @@ impl Snapshot {
                 }
                 Event::ConnOpen
                 | Event::Timeout
-                | Event::BatchRelookup
                 | Event::DelayedAck
                 | Event::ZeroWindowProbe
                 | Event::RwndStall => {}
@@ -238,34 +237,34 @@ mod tests {
         let snap = sample_recorder().snapshot();
         let text = snap.to_json_lines();
         let lines: Vec<&str> = text.lines().collect();
-        // 21 counters + 6 histograms + 1 events header + 6 events.
-        assert_eq!(lines.len(), 21 + 6 + 1 + 6, "{text}");
+        // 20 counters + 6 histograms + 1 events header + 6 events.
+        assert_eq!(lines.len(), 20 + 6 + 1 + 6, "{text}");
         assert_eq!(
             lines[0],
             "{\"type\":\"counter\",\"name\":\"lookups\",\"value\":3}"
         );
         assert!(
-            lines[21].starts_with(
+            lines[20].starts_with(
                 "{\"type\":\"histogram\",\"name\":\"examined\",\"count\":3,\"sum\":60,\"max\":40,"
             ),
             "{}",
-            lines[21]
+            lines[20]
         );
         assert!(
-            lines[21].contains("\"buckets\":[[1,1],[16,1],[32,1]]"),
+            lines[20].contains("\"buckets\":[[1,1],[16,1],[32,1]]"),
             "{}",
-            lines[21]
+            lines[20]
         );
         assert_eq!(
-            lines[27],
+            lines[26],
             "{\"type\":\"events\",\"recorded\":6,\"dropped\":0}"
         );
         assert_eq!(
-            lines[28],
+            lines[27],
             "{\"type\":\"event\",\"seq\":0,\"kind\":\"demux_hit\",\"examined\":1,\"cache_hit\":true}"
         );
         assert_eq!(
-            lines[33],
+            lines[32],
             "{\"type\":\"event\",\"seq\":5,\"kind\":\"conn_close\",\"cause\":\"timeout\"}"
         );
     }
@@ -281,9 +280,9 @@ mod tests {
     fn empty_snapshot_still_exports_full_schema() {
         let text = Snapshot::empty().to_json_lines();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 21 + 6 + 1);
-        assert!(lines[22].contains("\"count\":0"));
-        assert!(lines[22].contains("\"buckets\":[]"));
+        assert_eq!(lines.len(), 20 + 6 + 1);
+        assert!(lines[21].contains("\"count\":0"));
+        assert!(lines[21].contains("\"buckets\":[]"));
     }
 
     #[test]

@@ -37,6 +37,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # regenerated to match. Conditional cells (e.g. mt_stack's
 # connect/local vs connect/cross split) are deliberately not listed.
 REQUIRED_LABELS = {
+    "BENCH_batch_rx.json": {"batch_rx/lookup/per-packet-loop", "batch_rx/stack/receive-loop"}
+    | {f"batch_rx/lookup/batched/{b}" for b in (1, 8, 32, 128)},
     "BENCH_stack_shards.json": {
         f"mt_stack/{mix}/shards={k}" for mix in ("tpca", "bulk") for k in (1, 2, 4, 8)
     }

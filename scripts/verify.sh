@@ -41,14 +41,18 @@
 #      false-positive budget at the 15/16 occupancy watermark, and
 #      batch==sequential through the filter), and the miss_flood and
 #      train_windowed bins run end to end in smoke mode with
-#      schema-checked JSON snapshots.
+#      schema-checked JSON snapshots;
+#  13. the repository benchmark's own tests pass: same seed gives the
+#      same run, and the demux replica's examined counts equal the
+#      stack's (perfbench is a separate workspace, so stage 3 does not
+#      run them).
 #
 # Run from anywhere inside the repo. Exits non-zero on first failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== 1/12 dependency audit (cargo metadata) =="
+echo "== 1/13 dependency audit (cargo metadata) =="
 # --no-deps still lists every workspace member's declared dependencies.
 # Any dependency whose `source` is non-null comes from a registry or
 # git — both are forbidden; in-tree path deps have `"source": null`.
@@ -68,15 +72,15 @@ if bad:
 print("ok: %d workspace crates, all dependencies in-tree" % len(meta["packages"]))
 '
 
-echo "== 2/12 formatting + lints (rustfmt, clippy -D warnings) =="
+echo "== 2/13 formatting + lints (rustfmt, clippy -D warnings) =="
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== 3/12 offline tier-1 (release build + tests) =="
+echo "== 3/13 offline tier-1 (release build + tests) =="
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
-echo "== 4/12 same-seed determinism (byte-identical sim output) =="
+echo "== 4/13 same-seed determinism (byte-identical sim output) =="
 run_a=$(mktemp)
 run_b=$(mktemp)
 trap 'rm -f "$run_a" "$run_b"' EXIT
@@ -89,12 +93,12 @@ if ! cmp -s "$run_a" "$run_b"; then
 fi
 echo "ok: two same-seed runs are byte-identical ($(wc -c <"$run_a") bytes)"
 
-echo "== 5/12 multi-seed fault-injection sweep (TCPDEMUX_FAULT_SEEDS=32) =="
+echo "== 5/13 multi-seed fault-injection sweep (TCPDEMUX_FAULT_SEEDS=32) =="
 TCPDEMUX_FAULT_SEEDS=32 cargo test -q --release --offline \
   --test fault_injection --test loss_recovery
 echo "ok: loss recovery and checksum rejection hold across 32 fault seeds"
 
-echo "== 6/12 golden telemetry export (fixed-seed lossy-link run) =="
+echo "== 6/13 golden telemetry export (fixed-seed lossy-link run) =="
 golden="crates/bench/goldens/telemetry_lossy.jsonl"
 export_run=$(mktemp)
 trap 'rm -f "$run_a" "$run_b" "$export_run"' EXIT
@@ -108,11 +112,11 @@ if ! cmp -s "$export_run" "$golden"; then
 fi
 echo "ok: telemetry export matches golden ($(wc -c <"$export_run") bytes)"
 
-echo "== 7/12 concurrent-tier stress sweep (TCPDEMUX_STRESS_SEEDS=16) =="
+echo "== 7/13 concurrent-tier stress sweep (TCPDEMUX_STRESS_SEEDS=16) =="
 TCPDEMUX_STRESS_SEEDS=16 cargo test -q --release --offline --test concurrent_stress
 echo "ok: 16-seed concurrent churn clean"
 
-echo "== 8/12 bench-smoke JSON snapshots (schema + label-set drift) =="
+echo "== 8/13 bench-smoke JSON snapshots (schema + label-set drift) =="
 bench_json_dir=$(mktemp -d)
 trap 'rm -f "$run_a" "$run_b" "$export_run"; rm -rf "$bench_json_dir"' EXIT
 TCPDEMUX_SMOKE=1 cargo bench -q --offline -p tcpdemux-bench --bench batch_rx -- \
@@ -127,7 +131,7 @@ python3 scripts/check_bench_json.py "$bench_json_dir" \
   BENCH_batch_rx.json BENCH_demux_lookup.json \
   BENCH_mt_scaling.json BENCH_loss_recovery.json
 
-echo "== 9/12 sharded-runtime stress sweep + mt_stack smoke (TCPDEMUX_SHARD_SEEDS=12) =="
+echo "== 9/13 sharded-runtime stress sweep + mt_stack smoke (TCPDEMUX_SHARD_SEEDS=12) =="
 TCPDEMUX_SHARD_SEEDS=12 cargo test -q --release --offline \
   --test shard_stress --test shard_properties
 echo "ok: 12-seed sharded ingress/drain clean (flow order, shard isolation)"
@@ -135,14 +139,14 @@ TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin mt_sta
   --json "$bench_json_dir/BENCH_stack_shards.json" >/dev/null
 python3 scripts/check_bench_json.py "$bench_json_dir" BENCH_stack_shards.json
 
-echo "== 10/12 cuckoo churn sweep + demux_scale smoke (TCPDEMUX_CUCKOO_SEEDS=16) =="
+echo "== 10/13 cuckoo churn sweep + demux_scale smoke (TCPDEMUX_CUCKOO_SEEDS=16) =="
 TCPDEMUX_CUCKOO_SEEDS=16 cargo test -q --release --offline --test demux_churn
 echo "ok: 16-seed high-occupancy churn agrees with the oracle in every tier"
 TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin demux_scale -- \
   --json "$bench_json_dir/BENCH_demux_scale.json" >/dev/null
 python3 scripts/check_bench_json.py "$bench_json_dir" BENCH_demux_scale.json
 
-echo "== 11/12 congestion-control seed sweep + bulk_transfer smoke (TCPDEMUX_CC_SEEDS=8) =="
+echo "== 11/13 congestion-control seed sweep + bulk_transfer smoke (TCPDEMUX_CC_SEEDS=8) =="
 TCPDEMUX_CC_SEEDS=8 cargo test -q --release --offline \
   -p tcpdemux-sim bulk::tests::bulk_transfer_recovers_across_seeds
 TCPDEMUX_CC_SEEDS=8 cargo test -q --release --offline --test congestion
@@ -151,7 +155,7 @@ TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin bulk_t
   --json "$bench_json_dir/BENCH_bulk_transfer.json" >/dev/null
 python3 scripts/check_bench_json.py "$bench_json_dir" BENCH_bulk_transfer.json
 
-echo "== 12/12 front-filter oracle sweep + miss_flood/train_windowed smoke (TCPDEMUX_FRONT_SEEDS=16) =="
+echo "== 12/13 front-filter oracle sweep + miss_flood/train_windowed smoke (TCPDEMUX_FRONT_SEEDS=16) =="
 TCPDEMUX_FRONT_SEEDS=16 cargo test -q --release --offline --test front_filter
 echo "ok: 16-seed filter churn has zero false negatives and stays inside the FP budget"
 TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin miss_flood -- \
@@ -160,5 +164,9 @@ TCPDEMUX_SMOKE=1 cargo run -q --release --offline -p tcpdemux-bench --bin train_
   --json "$bench_json_dir/BENCH_train_windowed.json" >/dev/null
 python3 scripts/check_bench_json.py "$bench_json_dir" \
   BENCH_miss_flood.json BENCH_train_windowed.json
+
+echo "== 13/13 benchmark determinism + replica cross-check (perfbench tests) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+echo "ok: perfbench runs are deterministic and its replica agrees with the stack"
 
 echo "verify.sh: all checks passed"

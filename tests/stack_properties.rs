@@ -5,6 +5,7 @@
 use std::net::Ipv4Addr;
 use tcpdemux::pcb::PcbId;
 use tcpdemux::stack::{RxOutcome, Stack, StackConfig, TxScratch};
+use tcpdemux::wire::{IpProtocol, Ipv4Packet, Ipv4Repr, TcpRepr, TcpSegment, UdpDatagram, UdpRepr};
 use tcpdemux_testprop::check_cases;
 
 const SERVER: Ipv4Addr = Ipv4Addr::new(10, 5, 0, 1);
@@ -30,6 +31,52 @@ fn connected_pair() -> (Stack, Stack, PcbId, PcbId) {
     let r2 = client.receive(&r1.replies[0]).unwrap();
     server.receive(&r2.replies[0]).unwrap();
     (server, client, cp, sp)
+}
+
+/// Whether `frame` is a well-formed TCP or UDP packet for `local`:
+/// exactly the frames that reach the demultiplexer.
+fn reaches_demux(frame: &[u8], local: Ipv4Addr) -> bool {
+    let Ok(packet) = Ipv4Packet::new_checked(frame) else {
+        return false;
+    };
+    let Ok(ip) = Ipv4Repr::parse(&packet) else {
+        return false;
+    };
+    if ip.dst_addr != local {
+        return false;
+    }
+    match ip.protocol {
+        IpProtocol::Tcp => TcpSegment::new_checked(packet.payload())
+            .and_then(|s| TcpRepr::parse(&s, ip.src_addr, ip.dst_addr))
+            .is_ok(),
+        IpProtocol::Udp => UdpDatagram::new_checked(packet.payload())
+            .and_then(|d| UdpRepr::parse(&d, ip.src_addr, ip.dst_addr))
+            .is_ok(),
+        _ => false,
+    }
+}
+
+/// The receive accounting rule: every frame handed to `receive` lands in
+/// exactly one outcome or drop counter, and the stack's examined count is
+/// the demultiplexer's.
+fn assert_rx_accounting(stack: &Stack) {
+    let snap = stack.stats();
+    let s = snap.stack;
+    assert_eq!(
+        s.frames_in,
+        s.ip_errors
+            + s.tcp_errors
+            + s.not_for_us
+            + s.bad_protocol
+            + s.icmp_in
+            + s.demux_hits
+            + s.listener_hits
+            + s.syn_drops
+            + s.resets_sent
+            + s.unmatched_resets,
+        "every frame lands in exactly one counter: {s:?}"
+    );
+    assert_eq!(s.pcbs_examined, snap.demux.pcbs_examined);
 }
 
 /// Chunked transfer: however the payload is split into segments, the
@@ -110,10 +157,18 @@ fn mutated_frames_never_panic() {
         // Must not panic; the Internet checksum catches essentially all
         // of these (multi-byte mutations can in principle cancel, in
         // which case the frame is simply a different valid frame).
+        // Every frame, mutated or not, is accounted for, and one that
+        // still parses as TCP/UDP for us costs exactly one lookup.
+        let lookups = server.stats().demux.lookups;
         let _ = server.receive(&mutated);
+        let demuxed = u64::from(reaches_demux(&mutated, SERVER));
+        assert_eq!(server.stats().demux.lookups, lookups + demuxed);
+        assert_rx_accounting(&server);
         // The connection must still work afterwards.
         let good = send_now(&mut client, cp, b"still alive");
         let r = server.receive(&good).unwrap();
+        assert_eq!(server.stats().demux.lookups, lookups + demuxed + 1);
+        assert_rx_accounting(&server);
         let ok = matches!(r.outcome, RxOutcome::Delivered { .. })
             || matches!(r.outcome, RxOutcome::Duplicate { .. });
         assert!(ok, "{:?}", r.outcome);
