@@ -4,8 +4,10 @@
 //!
 //! 1. **Demux only**: the TPC/A arrival stream (N = 2000 users, R = 0.2 s)
 //!    replayed through `Demux::lookup_batch` at batch sizes 1/8/32/128,
-//!    against the per-packet `lookup` loop. The batched path groups each
-//!    batch's keys by hash chain and walks every chain at most once.
+//!    against the per-packet `lookup` loop. Sequent has no batch path of
+//!    its own any more (the trait's default is the per-packet loop), so
+//!    the batched cells now time the same loop through the batch API and
+//!    show what the call shape itself costs.
 //! 2. **Full stack**: pure-ACK frames (the workload's dominant packet) for
 //!    2000 established connections pushed through a `Stack::receive` loop
 //!    — parse, demultiplex, and TCP state update included — the per-frame

@@ -64,8 +64,10 @@ impl<H: KeyHasher + Clone> AdaptiveDemux<H> {
         }
         let mut grown =
             SequentDemux::new(self.hasher_template.clone(), self.inner.chain_count() * 2);
+        // The old table holds each key once, so the new one can skip
+        // the duplicate scan `insert` pays.
         for (key, id) in self.inner.iter_entries() {
-            grown.insert(key, id);
+            grown.preload(key, id);
         }
         self.inner = grown;
         self.resizes += 1;
@@ -87,13 +89,6 @@ impl<H: KeyHasher + Clone> Demux for AdaptiveDemux<H> {
         self.stats
             .record(result.examined, result.pcb.is_some(), result.cache_hit);
         result
-    }
-
-    fn lookup_batch(&mut self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
-        self.inner.lookup_batch(keys, out);
-        for r in out.iter() {
-            self.stats.record(r.examined, r.pcb.is_some(), r.cache_hit);
-        }
     }
 
     fn len(&self) -> usize {

@@ -14,7 +14,6 @@
 //! data locks, so the accounting itself is never a contention point the
 //! scaling benchmarks would mismeasure.
 
-use crate::batch;
 use crate::stats::{AtomicLookupStats, LookupStats};
 use crate::{LookupResult, PacketKind};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -81,6 +80,30 @@ impl Shard {
             cache: None,
         }
     }
+
+    /// The Sequent lookup on this chain: probe the one-entry cache, scan
+    /// the chain on a cache miss, and refresh the cache with a find.
+    fn resolve(&mut self, key: &ConnectionKey) -> LookupResult {
+        if let Some((ck, id)) = self.cache {
+            if ck == *key {
+                return LookupResult {
+                    pcb: Some(id),
+                    examined: 1,
+                    cache_hit: true,
+                };
+            }
+        }
+        let cache_probes = u32::from(self.cache.is_some());
+        let (found, scanned) = self.list.find(key);
+        if let Some(id) = found {
+            self.cache = Some((*key, id));
+        }
+        LookupResult {
+            pcb: found,
+            examined: cache_probes + scanned,
+            cache_hit: false,
+        }
+    }
 }
 
 /// The Sequent structure with one lock per hash chain.
@@ -100,10 +123,6 @@ impl<H: KeyHasher> ShardedDemux<H> {
     /// Create with `chains` shards (must be nonzero).
     pub fn new(hasher: H, chains: usize) -> Self {
         assert!(chains > 0, "chain count must be nonzero");
-        assert!(
-            chains <= u32::MAX as usize,
-            "chain count must fit in u32 (batch grouping packs bucket indices)"
-        );
         Self {
             hasher,
             shards: (0..chains).map(|_| Mutex::new(Shard::new())).collect(),
@@ -142,29 +161,7 @@ impl<H: KeyHasher + Sync + Send> ConcurrentDemux for ShardedDemux<H> {
     }
 
     fn lookup(&self, key: &ConnectionKey, _kind: PacketKind) -> LookupResult {
-        let result = {
-            let mut shard = lock(self.shard(key));
-            let cached = shard.cache.and_then(|(ck, id)| (ck == *key).then_some(id));
-            if let Some(id) = cached {
-                LookupResult {
-                    pcb: Some(id),
-                    examined: 1,
-                    cache_hit: true,
-                }
-            } else {
-                let cache_probes = u32::from(shard.cache.is_some());
-                let (found, scanned) = shard.list.find(key);
-                let examined = cache_probes + scanned;
-                if let Some(id) = found {
-                    shard.cache = Some((*key, id));
-                }
-                LookupResult {
-                    pcb: found,
-                    examined,
-                    cache_hit: false,
-                }
-            }
-        };
+        let result = lock(self.shard(key)).resolve(key);
         // The guard is gone; tallying is pure relaxed atomics.
         self.stats
             .record(result.examined, result.pcb.is_some(), result.cache_hit);
@@ -174,34 +171,30 @@ impl<H: KeyHasher + Sync + Send> ConcurrentDemux for ShardedDemux<H> {
     fn lookup_batch(&self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
         out.clear();
         out.resize(keys.len(), LookupResult::miss(0));
-        let mut order = Vec::new();
-        let mut scanned = Vec::new();
+        // Group the batch by chain. Sorting `(chain, index)` pairs keeps
+        // batch order within each chain, and a key's result depends only
+        // on earlier keys of its own chain, so the results and tallies
+        // equal the sequential loop's.
+        let mut order: Vec<(usize, usize)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, (key, _))| (self.hasher.bucket(key, self.shards.len()), i))
+            .collect();
+        order.sort_unstable();
         let mut tallies = LookupStats::new();
-        batch::group_by_bucket(&mut order, keys, |k| {
-            self.hasher.bucket(k, self.shards.len())
-        });
-        let mut i = 0;
-        while i < order.len() {
-            let b = order[i].0 as usize;
-            let mut j = i;
-            while j < order.len() && order[j].0 as usize == b {
-                j += 1;
-            }
+        let mut rest = &order[..];
+        while let Some(&(b, _)) = rest.first() {
+            let (group, tail) = rest.split_at(rest.iter().take_while(|o| o.0 == b).count());
+            rest = tail;
             // One lock acquisition per shard touched, held for the whole
-            // group — the concurrent analogue of the single chain walk.
-            // Tallies accumulate locally and merge after the last unlock.
-            let mut guard = lock(&self.shards[b]);
-            let shard = &mut *guard;
-            batch::chain_group_lookup(
-                &shard.list,
-                &mut shard.cache,
-                &mut scanned,
-                order[i..j].iter().map(|&(_, idx)| idx as usize),
-                keys,
-                out,
-                &mut tallies,
-            );
-            i = j;
+            // group. Tallies accumulate locally and merge after the last
+            // unlock.
+            let mut shard = lock(&self.shards[b]);
+            for &(_, i) in group {
+                let result = shard.resolve(&keys[i].0);
+                tallies.record(result.examined, result.pcb.is_some(), result.cache_hit);
+                out[i] = result;
+            }
         }
         self.stats.merge_tallies(&tallies);
     }

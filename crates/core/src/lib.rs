@@ -25,11 +25,15 @@
 //!
 //! # Batched lookups
 //!
-//! [`Demux::lookup_batch`] resolves a burst of arriving keys in one call.
-//! The hashed structures override it to group the batch by chain so each
-//! chain is walked at most once per batch — same results, same `examined`
-//! counts, same [`LookupStats`] as the sequential loop (a property test
-//! pins this), but with far better cache locality and amortized dispatch.
+//! [`Demux::lookup_batch`] resolves a burst of arriving keys in one call,
+//! with the same results, `examined` counts and [`LookupStats`] as the
+//! sequential loop (a property test pins this). For the list and
+//! hash-chain structures it *is* the sequential loop: a chain is a
+//! contiguous tag array scanned without dependent loads (see
+//! [`PcbList`]), so there is no load latency left for a batch to hide.
+//! [`CuckooDemux`] overrides it to prefetch every key's candidate buckets
+//! before probing any, and [`FrontDemux`] to prefetch its filter words and
+//! forward only the survivors to the tier it wraps.
 //!
 //! # Suites
 //!
@@ -67,7 +71,6 @@
 #![deny(unsafe_code)]
 
 mod adaptive;
-mod batch;
 mod bsd;
 pub mod concurrent;
 pub mod cuckoo;
@@ -162,11 +165,15 @@ pub trait Demux: Send {
     ///
     /// Clears `out` and appends exactly one [`LookupResult`] per key, in
     /// key order. The default implementation is the sequential per-packet
-    /// loop; hashed structures override it to group the batch by chain so
-    /// each chain is walked at most once. Every override must preserve the
-    /// sequential semantics exactly — identical results, per-lookup
-    /// `examined` counts, and accumulated [`LookupStats`] as calling
-    /// [`Demux::lookup`] on each key in order.
+    /// loop, which every chained structure uses. Only the cuckoo tiers
+    /// override it (to prefetch both candidate buckets of every key before
+    /// probing), along with the wrappers that forward to an inner tier,
+    /// [`FrontDemux`] and `Box<dyn Demux>`; [`concurrent::ShardedDemux`]
+    /// overrides the concurrent twin of this method to take one lock per
+    /// chain group. Every override must preserve the sequential semantics
+    /// exactly — identical results, per-lookup `examined` counts, and
+    /// accumulated [`LookupStats`] as calling [`Demux::lookup`] on each
+    /// key in order.
     fn lookup_batch(&mut self, keys: &[(ConnectionKey, PacketKind)], out: &mut Vec<LookupResult>) {
         out.clear();
         out.reserve(keys.len());

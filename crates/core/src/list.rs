@@ -1,38 +1,42 @@
-//! An index-based doubly-linked PCB list with a struct-of-arrays layout.
+//! A PCB list stored as three parallel arrays in reverse list order.
 //!
 //! Every list-structured algorithm in the paper (BSD, move-to-front, the
-//! send/receive cache, and each Sequent hash chain) needs the same three
+//! send/receive cache, and each Sequent hash chain) needs the same
 //! operations a kernel's `inpcb` queue provides: scan from the head
-//! counting entries examined, unlink in O(1) once found, and insert at the
-//! head in O(1). `PcbList` provides exactly that, with explicit index
-//! links (no unsafe, no pointer chasing across allocations).
+//! counting entries examined, unlink an entry once found, and insert at
+//! the head. `PcbList` provides exactly that without links: the list is
+//! the contents of three `Vec`s, a 32-bit key tag, the full
+//! [`ConnectionKey`] and the [`PcbId`], with the *last* index holding the
+//! list head. An entry at array index `i` sits at 1-based list position
+//! `len − i`.
 //!
 //! The scan order is the *list* order, which is what the paper's analysis
 //! is about: the cost of a lookup is the 1-based position of the key.
 //!
-//! # Struct-of-arrays hot lane
+//! # Why arrays, not links
 //!
-//! Storage is split for mechanical sympathy. The *hot* lane is one
-//! `Vec<u64>` word per slot packing `(tag << 32) | next`, so a chain walk
-//! touches a single contiguous array of 8-byte words: one load yields
-//! both the 32-bit key tag (a prefilter — the full 96-bit
-//! [`ConnectionKey`] is compared only when the tag matches) and the next
-//! slot index. Everything a walk does *not* need on the common
-//! non-matching step — the full key, the PCB handle, the back link, the
-//! liveness flag — lives in parallel *cold* arrays touched only on a tag
-//! hit or a structural mutation. Eight slots of hot lane share a cache
-//! line where the old array-of-structs layout fit two nodes.
+//! A linked walk cannot issue the load for entry `k + 1` until entry `k`'s
+//! `next` index has arrived, so it runs at L1 load *latency* however short
+//! each step is. Here a walk is a backward streaming scan over the
+//! `tags` array in [`CHUNK`]-wide blocks: each block's tag comparisons
+//! fold into one match flag (a shape the compiler vectorises), and the
+//! full 96-bit key is compared only at tag matches inside a flagged
+//! block, nearest-to-head first. No load depends on another, so the scan
+//! runs at load *throughput*.
+//!
+//! The structural operations stay cheap because their work lies on the
+//! part of the list the scan already covered: [`PcbList::push_front`] is
+//! a `push`, [`PcbList::remove`] shifts down only the entries nearer the
+//! head than the removed one, and [`PcbList::find_move_to_front`] rotates
+//! that same suffix by one.
 //!
 //! The tag prefilter is invisible in the paper's cost model: a tag
 //! comparison *is* the examination of that position, so `examined`
-//! counts are byte-identical to a full-key walk (a property test pins
-//! this against a Vec-of-pairs oracle, including crafted tag
-//! collisions).
+//! counts are identical to a full-key walk (a property test pins this
+//! against a Vec-of-pairs oracle, and a crafted-collision test puts false
+//! tag matches on both sides of each block boundary).
 
 use tcpdemux_pcb::{ConnectionKey, PcbId};
-
-/// Sentinel slot index meaning "no slot" (shared with the batch walker).
-pub(crate) const NIL: u32 = u32::MAX;
 
 // Additive-multiplicative mixer over the three key words. The weights are
 // the usual odd 32-bit mixing constants; because each word contributes
@@ -42,318 +46,142 @@ const TAG_M0: u32 = 0x9E37_79B9;
 const TAG_M1: u32 = 0x85EB_CA6B;
 const TAG_M2: u32 = 0xC2B2_AE35;
 
-/// The 32-bit prefilter tag stored in a slot's hot word alongside the
-/// next link. Equal keys always have equal tags; unequal keys collide
-/// with probability ~2^-32, in which case the walk falls back to the
-/// full-key comparison and stays correct.
+/// Tags compared per block of the backward scan: sixteen 4-byte tags are
+/// one 64-byte cache line.
+const CHUNK: usize = 16;
+
+/// The 32-bit prefilter tag stored for each entry. Equal keys always have
+/// equal tags; unequal keys collide with probability ~2^-32, in which
+/// case the scan falls back to the full-key comparison and stays correct.
 #[inline]
-pub(crate) fn key_tag(key: &ConnectionKey) -> u32 {
+fn key_tag(key: &ConnectionKey) -> u32 {
     let [w0, w1, w2] = key.as_words();
     w0.wrapping_mul(TAG_M0)
         .wrapping_add(w1.wrapping_mul(TAG_M1))
         .wrapping_add(w2.wrapping_mul(TAG_M2))
 }
 
-#[inline]
-fn pack(tag: u32, next: u32) -> u64 {
-    (u64::from(tag) << 32) | u64::from(next)
-}
-
-/// A doubly-linked list of `(ConnectionKey, PcbId)` pairs in
-/// struct-of-arrays form: `hot[i]` packs `(tag << 32) | next`, the cold
-/// arrays hold everything a non-matching walk step never touches.
-#[derive(Debug, Clone)]
+/// A list of `(ConnectionKey, PcbId)` pairs as parallel arrays, head
+/// last: `tags[i]`, `keys[i]` and `ids[i]` describe list position
+/// `len − i`.
+#[derive(Debug, Clone, Default)]
 pub struct PcbList {
-    hot: Vec<u64>,
+    tags: Vec<u32>,
     keys: Vec<ConnectionKey>,
     ids: Vec<PcbId>,
-    prev: Vec<u32>,
-    live: Vec<bool>,
-    free: Vec<u32>,
-    head: u32,
-    tail: u32,
-    len: usize,
-}
-
-impl Default for PcbList {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl PcbList {
     /// An empty list.
     pub fn new() -> Self {
-        Self {
-            hot: Vec::new(),
-            keys: Vec::new(),
-            ids: Vec::new(),
-            prev: Vec::new(),
-            live: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            len: 0,
-        }
+        Self::default()
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.tags.len()
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.tags.is_empty()
     }
 
     /// The entry at the head, if any.
     pub fn front(&self) -> Option<(ConnectionKey, PcbId)> {
-        (self.head != NIL).then(|| {
-            let i = self.head as usize;
-            (self.keys[i], self.ids[i])
-        })
-    }
-
-    #[inline]
-    fn next_of(&self, idx: u32) -> u32 {
-        self.hot[idx as usize] as u32
-    }
-
-    #[inline]
-    fn set_next(&mut self, idx: u32, next: u32) {
-        let word = &mut self.hot[idx as usize];
-        *word = (*word & !0xFFFF_FFFFu64) | u64::from(next);
-    }
-
-    /// Claim a slot (recycling freed ones) holding `key`/`id`, unlinked
-    /// (`prev = next = NIL`), live. Returns its index.
-    fn alloc(&mut self, key: ConnectionKey, id: PcbId) -> u32 {
-        let tag = key_tag(&key);
-        match self.free.pop() {
-            Some(idx) => {
-                let i = idx as usize;
-                self.hot[i] = pack(tag, NIL);
-                self.keys[i] = key;
-                self.ids[i] = id;
-                self.prev[i] = NIL;
-                self.live[i] = true;
-                idx
-            }
-            None => {
-                let idx = self.hot.len() as u32;
-                self.hot.push(pack(tag, NIL));
-                self.keys.push(key);
-                self.ids.push(id);
-                self.prev.push(NIL);
-                self.live.push(true);
-                idx
-            }
-        }
+        Some((*self.keys.last()?, *self.ids.last()?))
     }
 
     /// Insert at the head (newest-first, the BSD convention).
     pub fn push_front(&mut self, key: ConnectionKey, id: PcbId) {
-        let idx = self.alloc(key, id);
-        if self.head == NIL {
-            self.tail = idx;
-        } else {
-            self.prev[self.head as usize] = idx;
-            self.set_next(idx, self.head);
-        }
-        self.head = idx;
-        self.len += 1;
+        self.tags.push(key_tag(&key));
+        self.keys.push(key);
+        self.ids.push(id);
     }
 
-    /// Insert at the tail.
-    pub fn push_back(&mut self, key: ConnectionKey, id: PcbId) {
-        let idx = self.alloc(key, id);
-        if self.tail == NIL {
-            self.head = idx;
-        } else {
-            self.set_next(self.tail, idx);
-            self.prev[idx as usize] = self.tail;
+    /// The array index holding `key`, scanning from the head (the end of
+    /// the arrays) in [`CHUNK`]-wide blocks, then the short remainder at
+    /// the front of the arrays one tag at a time.
+    ///
+    /// A block's sixteen tag comparisons are OR-folded into one match
+    /// flag, a branch-free shape the compiler vectorises; only a block
+    /// whose flag is set is re-scanned entry by entry, head side first,
+    /// comparing full keys at tag matches.
+    #[inline]
+    fn index_of(&self, key: &ConnectionKey) -> Option<usize> {
+        let tag = key_tag(key);
+        let blocks = self.tags.rchunks_exact(CHUNK);
+        let rest = blocks.remainder().len();
+        let mut end = self.tags.len();
+        for block in blocks {
+            end -= CHUNK;
+            if block.iter().fold(0u32, |hit, &t| hit | u32::from(t == tag)) == 0 {
+                continue;
+            }
+            if let Some(j) = (0..CHUNK)
+                .rev()
+                .find(|&j| block[j] == tag && self.keys[end + j] == *key)
+            {
+                return Some(end + j);
+            }
         }
-        self.tail = idx;
-        self.len += 1;
+        (0..rest)
+            .rev()
+            .find(|&i| self.tags[i] == tag && self.keys[i] == *key)
     }
 
-    fn unlink(&mut self, idx: u32) {
-        debug_assert!(self.live[idx as usize]);
-        let prev = self.prev[idx as usize];
-        let next = self.next_of(idx);
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.set_next(prev, next);
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.prev[next as usize] = prev;
-        }
-        self.live[idx as usize] = false;
-        self.prev[idx as usize] = NIL;
-        self.set_next(idx, NIL);
-        self.len -= 1;
+    /// The 1-based list position of array index `i`.
+    #[inline]
+    fn position(&self, i: usize) -> u32 {
+        (self.tags.len() - i) as u32
     }
 
     /// Scan from the head for `key`. Returns the PCB handle and the
     /// 1-based position at which it was found (the number of entries
     /// examined), or `None` along with the full list length examined.
     pub fn find(&self, key: &ConnectionKey) -> (Option<PcbId>, u32) {
-        let tag = key_tag(key);
-        let mut cursor = self.head;
-        let mut examined = 0u32;
-        while cursor != NIL {
-            let word = self.hot[cursor as usize];
-            examined += 1;
-            if (word >> 32) as u32 == tag && self.keys[cursor as usize] == *key {
-                return (Some(self.ids[cursor as usize]), examined);
-            }
-            cursor = word as u32;
+        match self.index_of(key) {
+            Some(i) => (Some(self.ids[i]), self.position(i)),
+            None => (None, self.len() as u32),
         }
-        (None, examined)
     }
 
-    /// Scan for `key`; if found, unlink it and re-insert at the head
-    /// (Crowcroft's move-to-front). Returns the handle and entries examined.
+    /// Scan for `key`; if found, move it to the head (Crowcroft's
+    /// move-to-front) by rotating the entries nearer the head down one
+    /// place. Returns the handle and entries examined.
     pub fn find_move_to_front(&mut self, key: &ConnectionKey) -> (Option<PcbId>, u32) {
-        let tag = key_tag(key);
-        let mut cursor = self.head;
-        let mut examined = 0u32;
-        while cursor != NIL {
-            let word = self.hot[cursor as usize];
-            examined += 1;
-            if (word >> 32) as u32 == tag && self.keys[cursor as usize] == *key {
-                let id = self.ids[cursor as usize];
-                if self.head != cursor {
-                    self.unlink(cursor);
-                    // Relink at head reusing the same slot.
-                    let old_head = self.head;
-                    debug_assert_ne!(old_head, NIL, "nonempty: key was behind head");
-                    self.prev[old_head as usize] = cursor;
-                    self.set_next(cursor, old_head);
-                    self.prev[cursor as usize] = NIL;
-                    self.live[cursor as usize] = true;
-                    self.head = cursor;
-                    self.len += 1;
-                }
-                return (Some(id), examined);
-            }
-            cursor = word as u32;
-        }
-        (None, examined)
+        let Some(i) = self.index_of(key) else {
+            return (None, self.len() as u32);
+        };
+        let (id, examined) = (self.ids[i], self.position(i));
+        self.tags[i..].rotate_left(1);
+        self.keys[i..].rotate_left(1);
+        self.ids[i..].rotate_left(1);
+        (Some(id), examined)
     }
 
     /// Remove `key` from the list, returning its handle if present.
     pub fn remove(&mut self, key: &ConnectionKey) -> Option<PcbId> {
-        let tag = key_tag(key);
-        let mut cursor = self.head;
-        while cursor != NIL {
-            let word = self.hot[cursor as usize];
-            if (word >> 32) as u32 == tag && self.keys[cursor as usize] == *key {
-                let id = self.ids[cursor as usize];
-                self.unlink(cursor);
-                self.free.push(cursor);
-                return Some(id);
-            }
-            cursor = word as u32;
-        }
-        None
+        let i = self.index_of(key)?;
+        self.tags.remove(i);
+        self.keys.remove(i);
+        Some(self.ids.remove(i))
     }
 
     /// Replace the handle stored for `key`, returning the old handle.
     /// Position in the list is unchanged.
     pub fn replace(&mut self, key: &ConnectionKey, id: PcbId) -> Option<PcbId> {
-        let tag = key_tag(key);
-        let mut cursor = self.head;
-        while cursor != NIL {
-            let word = self.hot[cursor as usize];
-            if (word >> 32) as u32 == tag && self.keys[cursor as usize] == *key {
-                return Some(core::mem::replace(&mut self.ids[cursor as usize], id));
-            }
-            cursor = word as u32;
-        }
-        None
+        let i = self.index_of(key)?;
+        Some(core::mem::replace(&mut self.ids[i], id))
     }
 
     /// Iterate `(key, id)` in list order (head first).
-    pub fn iter(&self) -> ListIter<'_> {
-        ListIter {
-            list: self,
-            cursor: self.head,
-        }
-    }
-
-    // ---- raw-slot access for the batched walker (crate-internal) ----
-    //
-    // `chain_group_lookup` drives the walk itself so it can interleave
-    // prefetches and reuse already-scanned prefixes across a grouped
-    // batch; these accessors expose the SoA lanes without giving up the
-    // list's invariants.
-
-    /// The head slot index, or [`NIL`] when empty.
-    pub(crate) fn head_slot(&self) -> u32 {
-        self.head
-    }
-
-    /// The packed `(tag << 32) | next` hot word of a live slot.
-    pub(crate) fn hot_word(&self, idx: u32) -> u64 {
-        self.hot[idx as usize]
-    }
-
-    /// The full key stored in a slot (cold lane; read on tag hit only).
-    pub(crate) fn key_at(&self, idx: u32) -> &ConnectionKey {
-        &self.keys[idx as usize]
-    }
-
-    /// The PCB handle stored in a slot (cold lane).
-    pub(crate) fn id_at(&self, idx: u32) -> PcbId {
-        self.ids[idx as usize]
-    }
-
-    /// The three SoA lanes as raw slices: packed hot words, keys, ids.
-    ///
-    /// The interleaved batch walker borrows these once per chain so its
-    /// per-step loop indexes flat slices instead of re-deriving the
-    /// chain reference (two dependent loads) on every entry.
-    pub(crate) fn lanes(&self) -> (&[u64], &[ConnectionKey], &[PcbId]) {
-        (&self.hot, &self.keys, &self.ids)
-    }
-
-    /// Hint the head slot's hot word into cache ahead of a walk.
-    pub(crate) fn prefetch_head(&self) {
-        if self.head != NIL {
-            crate::prefetch::prefetch_read(&self.hot[self.head as usize]);
-        }
-    }
-
-    /// Hint an arbitrary slot's hot word into cache (no-op on [`NIL`]).
-    pub(crate) fn prefetch_slot(&self, idx: u32) {
-        if idx != NIL {
-            crate::prefetch::prefetch_read(&self.hot[idx as usize]);
-        }
-    }
-}
-
-/// Iterator over a [`PcbList`] in list order.
-#[derive(Debug)]
-pub struct ListIter<'a> {
-    list: &'a PcbList,
-    cursor: u32,
-}
-
-impl Iterator for ListIter<'_> {
-    type Item = (ConnectionKey, PcbId);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cursor == NIL {
-            return None;
-        }
-        let i = self.cursor as usize;
-        self.cursor = self.list.next_of(self.cursor);
-        Some((self.list.keys[i], self.list.ids[i]))
+    pub fn iter(&self) -> impl Iterator<Item = (ConnectionKey, PcbId)> + '_ {
+        self.keys
+            .iter()
+            .copied()
+            .zip(self.ids.iter().copied())
+            .rev()
     }
 }
 
@@ -380,18 +208,6 @@ mod tests {
         let order: Vec<_> = list.iter().map(|(k, _)| k).collect();
         assert_eq!(order, vec![key(2), key(1), key(0)]);
         assert_eq!(list.front().unwrap().0, key(2));
-    }
-
-    #[test]
-    fn push_back_orders_oldest_first() {
-        let mut arena = PcbArena::new();
-        let ids = ids(3, &mut arena);
-        let mut list = PcbList::new();
-        for i in 0..3 {
-            list.push_back(key(i), ids[i as usize]);
-        }
-        let order: Vec<_> = list.iter().map(|(k, _)| k).collect();
-        assert_eq!(order, vec![key(0), key(1), key(2)]);
     }
 
     #[test]
@@ -469,18 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_recycled() {
-        let mut arena = PcbArena::new();
-        let ids = ids(2, &mut arena);
-        let mut list = PcbList::new();
-        list.push_front(key(0), ids[0]);
-        list.remove(&key(0));
-        list.push_front(key(1), ids[1]);
-        assert_eq!(list.hot.len(), 1, "slot not recycled");
-        assert_eq!(list.find(&key(1)), (Some(ids[1]), 1));
-    }
-
-    #[test]
     fn replace_keeps_position() {
         let mut arena = PcbArena::new();
         let ids = ids(3, &mut arena);
@@ -496,6 +300,43 @@ mod tests {
         assert_eq!(list.replace(&key(42), replacement), None);
     }
 
+    /// A list may hold one key twice (`SequentDemux::preload` allows it):
+    /// every operation must act on the copy nearest the head, whether
+    /// both copies share a scan block or the scalar remainder.
+    #[test]
+    fn duplicate_keys_resolve_head_first() {
+        let mut arena = PcbArena::new();
+        let mut model: Vec<(ConnectionKey, PcbId)> = (0..40)
+            .map(|n| (key(n), arena.insert(Pcb::new(key(n)))))
+            .collect();
+        // Positions 3 and 9 share the first block; 34 and 38 the remainder.
+        for (pos, n) in [(3, 100), (9, 100), (34, 101), (38, 101)] {
+            model[pos - 1] = (key(n), arena.insert(Pcb::new(key(n))));
+        }
+        let mut list = PcbList::new();
+        for &(k, id) in model.iter().rev() {
+            list.push_front(k, id);
+        }
+        let head_most = |model: &[(ConnectionKey, PcbId)], k: ConnectionKey| {
+            let pos = model.iter().position(|(mk, _)| *mk == k).unwrap();
+            (pos, model[pos].1)
+        };
+        for n in [100, 101] {
+            let (pos, id) = head_most(&model, key(n));
+            assert_eq!(list.find(&key(n)), (Some(id), pos as u32 + 1));
+            let fresh = arena.insert(Pcb::new(key(n)));
+            assert_eq!(list.replace(&key(n), fresh), Some(id));
+            model[pos].1 = fresh;
+            assert_eq!(list.remove(&key(n)), Some(fresh));
+            model.remove(pos);
+            let (pos, id) = head_most(&model, key(n));
+            assert_eq!(list.find_move_to_front(&key(n)), (Some(id), pos as u32 + 1));
+            let entry = model.remove(pos);
+            model.insert(0, entry);
+            assert_eq!(list.iter().collect::<Vec<_>>(), model);
+        }
+    }
+
     /// Multiplicative inverse mod 2^32 of an odd `a`, by Newton
     /// iteration: each step doubles the number of correct low bits and
     /// `x = a` is already correct mod 8, so five steps reach 2^32.
@@ -509,10 +350,22 @@ mod tests {
         x
     }
 
-    /// Because the tag is linear in the key words (mod 2^32), a second
-    /// key with w2' = w2 + 1 and w1' = w1 - M2·M1⁻¹ has the *same* tag.
-    /// The walk must fall through the false tag hit to the full-key
-    /// comparison and keep exact `examined` counts.
+    /// `list` holds exactly `model` (head first), and every key in it is
+    /// found at its model position.
+    fn assert_matches(list: &PcbList, model: &[(ConnectionKey, PcbId)]) {
+        assert_eq!(list.iter().collect::<Vec<_>>(), model);
+        for (pos, &(k, id)) in model.iter().enumerate() {
+            assert_eq!(list.find(&k), (Some(id), pos as u32 + 1), "{k:?}");
+        }
+    }
+
+    /// Because the tag is linear in the key words (mod 2^32), keys with
+    /// w2' = w2 + c and w1' = w1 - c·M2·M1⁻¹ all share one tag. The
+    /// colliders are placed on both sides of the boundary between the
+    /// first two scan blocks and of the boundary between the last block
+    /// and the scalar remainder, so every search for one of them takes
+    /// false tag hits in two blocks (or a block and the remainder) and
+    /// must keep exact `examined` counts through each mutating path.
     #[test]
     fn crafted_tag_collision_walks_correctly() {
         let base = ConnectionKey::new(
@@ -522,54 +375,98 @@ mod tests {
             40001,
         );
         let [w0, w1, w2] = base.as_words();
-        let w1c = w1.wrapping_sub(TAG_M2.wrapping_mul(inv_u32(TAG_M1)));
-        let w2c = w2.wrapping_add(1);
-        let collider = ConnectionKey::new(
-            Ipv4Addr::from(w0),
-            (w2c >> 16) as u16,
-            Ipv4Addr::from(w1c),
-            w2c as u16,
-        );
-        assert_ne!(base, collider, "must be distinct keys");
-        assert_eq!(
-            key_tag(&base),
-            key_tag(&collider),
-            "construction must collide tags"
-        );
+        let step = TAG_M2.wrapping_mul(inv_u32(TAG_M1));
+        let collider = |c: u32| {
+            let (w1c, w2c) = (w1.wrapping_sub(step.wrapping_mul(c)), w2.wrapping_add(c));
+            ConnectionKey::new(
+                Ipv4Addr::from(w0),
+                (w2c >> 16) as u16,
+                Ipv4Addr::from(w1c),
+                w2c as u16,
+            )
+        };
+        let colliders: Vec<_> = (0..6).map(collider).collect();
+        assert_eq!(colliders[0], base);
+        for (c, k) in colliders.iter().enumerate().skip(1) {
+            assert_ne!(*k, base, "collider {c} must be a distinct key");
+            assert_eq!(
+                key_tag(k),
+                key_tag(&base),
+                "collider {c} must share the tag"
+            );
+        }
 
+        // A 40-entry list: blocks cover positions 1–16 and 17–32, the
+        // remainder 33–40. Colliders sit at positions 16 | 17 and 32 | 33,
+        // the unplaced `colliders[5]` is a tag-colliding miss.
         let mut arena = PcbArena::new();
-        let id_base = arena.insert(Pcb::new(base));
-        let id_coll = arena.insert(Pcb::new(collider));
+        let mut model: Vec<(ConnectionKey, PcbId)> = (0..35)
+            .map(|n| (key(n), arena.insert(Pcb::new(key(n)))))
+            .collect();
+        for (pos, &k) in [
+            (16, &colliders[1]),
+            (17, &colliders[2]),
+            (32, &colliders[3]),
+            (33, &base),
+        ] {
+            model.insert(pos - 1, (k, arena.insert(Pcb::new(k))));
+        }
+        model.insert(39, (colliders[4], arena.insert(Pcb::new(colliders[4]))));
+        assert_eq!(model.len(), 40);
         let mut list = PcbList::new();
-        // Order: collider first, so a lookup of `base` takes a false
-        // tag hit at position 1 before matching at position 2.
-        list.push_front(base, id_base);
-        list.push_front(collider, id_coll);
+        for &(k, id) in model.iter().rev() {
+            list.push_front(k, id);
+        }
+        assert_matches(&list, &model);
+        assert_eq!(list.find(&colliders[5]), (None, 40));
 
-        assert_eq!(list.find(&collider), (Some(id_coll), 1));
-        assert_eq!(list.find(&base), (Some(id_base), 2));
-        // Same through the mutating paths.
-        assert_eq!(list.replace(&base, id_base), Some(id_base));
-        let (found, examined) = list.find_move_to_front(&base);
-        assert_eq!((found, examined), (Some(id_base), 2));
-        assert_eq!(list.find(&base), (Some(id_base), 1));
-        assert_eq!(list.remove(&collider), Some(id_coll));
-        assert_eq!(list.find(&collider), (None, 1));
+        // `replace` must write the matching entry, not a false tag hit.
+        let fresh = arena.insert(Pcb::new(base));
+        assert_eq!(list.replace(&base, fresh), Some(model[32].1));
+        model[32].1 = fresh;
+        assert_eq!(list.replace(&colliders[5], fresh), None);
+        assert_matches(&list, &model);
+
+        // Move-to-front across both boundaries: base (remainder) to the
+        // head shifts every collider one place further back.
+        assert_eq!(list.find_move_to_front(&base), (Some(fresh), 33));
+        let entry = model.remove(32);
+        model.insert(0, entry);
+        assert_matches(&list, &model);
+        assert_eq!(
+            list.find_move_to_front(&colliders[2]),
+            (Some(model[17].1), 18)
+        );
+        let entry = model.remove(17);
+        model.insert(0, entry);
+        assert_matches(&list, &model);
+        assert_eq!(list.find_move_to_front(&colliders[5]), (None, 40));
+
+        // Removal of colliders on both sides of each boundary.
+        for c in [1, 3, 4] {
+            let pos = model.iter().position(|(k, _)| *k == colliders[c]).unwrap();
+            assert_eq!(list.remove(&colliders[c]), Some(model.remove(pos).1));
+            assert_matches(&list, &model);
+        }
+        assert_eq!(list.remove(&colliders[5]), None);
+        assert_eq!(list.find(&colliders[1]), (None, 37));
     }
 
     /// Model-based test: a sequence of operations on PcbList agrees
     /// with a Vec-based reference model, including scan positions.
-    /// This is the oracle pinning the SoA layout to the pre-refactor
-    /// walk semantics across insert/remove/reorder churn.
+    /// Each case first fills up to 71 entries, so lists regularly span
+    /// three full scan blocks plus a remainder, then churns them with
+    /// inserts, finds, move-to-front, replaces and removes.
     #[test]
     fn prop_matches_vec_model() {
         check("list_prop_matches_vec_model", |rng| {
-            let ops = rng.vec_of(0, 200, |r| (r.u8_in(0, 6), r.u32_below(24)));
+            let fill = rng.u32_below(72);
+            let ops = rng.vec_of(0, 200, |r| (r.u8_in(0, 5), r.u32_below(80)));
             let mut arena = PcbArena::new();
             let mut list = PcbList::new();
             let mut model: Vec<(ConnectionKey, PcbId)> = Vec::new();
 
-            for (op, n) in ops {
+            for (op, n) in (0..fill).map(|n| (0, n)).chain(ops) {
                 let k = key(n);
                 match op {
                     0 => {
@@ -609,14 +506,6 @@ mod tests {
                         }
                     }
                     3 => {
-                        // push_back if absent
-                        if !model.iter().any(|(mk, _)| *mk == k) {
-                            let id = arena.insert(Pcb::new(k));
-                            list.push_back(k, id);
-                            model.push((k, id));
-                        }
-                    }
-                    4 => {
                         let replacement = arena.insert(Pcb::new(k));
                         let got = list.replace(&k, replacement);
                         match model.iter().position(|(mk, _)| *mk == k) {

@@ -1,12 +1,13 @@
 //! A portable software-prefetch shim.
 //!
 //! The paper's figure of merit — PCBs examined — is a proxy for memory
-//! traffic, and a batched lookup knows every chain head it is about to
-//! walk the moment the batch has been grouped. Issuing prefetches for all
-//! of those heads *before* walking any of them turns a sequence of
+//! traffic, and a batched lookup knows every bucket it is about to probe
+//! the moment it has hashed the batch. Issuing prefetches for all of
+//! those buckets *before* probing any of them turns a sequence of
 //! dependent cache misses into overlapping ones (memory-level
-//! parallelism); the walks themselves prefetch one node ahead for the
-//! same reason.
+//! parallelism). The cuckoo tiers' and the front filter's batch paths use
+//! it; chain scans need no hint, because a contiguous tag array is what
+//! the hardware prefetcher already streams.
 //!
 //! On x86_64 this lowers to a single `prefetcht0` instruction. On every
 //! other architecture it is a documented no-op: there is no stable

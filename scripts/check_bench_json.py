@@ -39,6 +39,21 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 REQUIRED_LABELS = {
     "BENCH_batch_rx.json": {"batch_rx/lookup/per-packet-loop", "batch_rx/stack/receive-loop"}
     | {f"batch_rx/lookup/batched/{b}" for b in (1, 8, 32, 128)},
+    "BENCH_demux_lookup.json": {
+        f"lookup/oltp/n={n}/{tier}"
+        for n in (100, 1000, 2000)
+        for tier in (
+            "bsd",
+            "mtf",
+            "send-recv",
+            "sequent(19)",
+            "sequent(100)",
+            "sequent-nocache(19)",
+            "hashed-mtf(19)",
+            "direct-index",
+        )
+    }
+    | {f"lookup/train/n=2000/{tier}" for tier in ("bsd", "sequent(19)", "direct-index")},
     "BENCH_stack_shards.json": {
         f"mt_stack/{mix}/shards={k}" for mix in ("tpca", "bulk") for k in (1, 2, 4, 8)
     }
